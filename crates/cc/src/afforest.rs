@@ -9,7 +9,10 @@
 //! 3. **Finish** — process the *remaining* neighbors only for nodes outside
 //!    that giant component, then compress. On skewed graphs almost every node
 //!    is already inside, so phase 3 touches a tiny fraction of the arcs —
-//!    this is why Afforest beats SV in Fig. 5.
+//!    this is why Afforest beats SV in Fig. 5. The skip is only as good as
+//!    the giant: on an input of many small components (the edge-entity
+//!    driver in [`crate::engine`] meets such Φ_k groups) phase 3 visits
+//!    nearly every node.
 
 use crate::{Adjacency, AtomicDsu};
 use rand::rngs::StdRng;

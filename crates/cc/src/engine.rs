@@ -25,6 +25,7 @@ use crate::{atomic_find, atomic_find_steps, atomic_link};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 /// "k-triangle neighbors of edge `e`": a view that enumerates, for a member
@@ -35,11 +36,24 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 ///
 /// A partner may be yielded more than once (once per witnessing triangle);
 /// the drivers are idempotent under repetition. Yield order must be
-/// deterministic per edge — Afforest's bounded phase links only the first
-/// `r` partners yielded.
+/// deterministic per edge — Afforest's neighbour round links only the first
+/// `r` partners yielded and then breaks.
 pub trait TriangleAdjacency: Sync {
+    /// Calls `f` for the same-k triangle partners of `e`, in the view's
+    /// fixed order, until `f` breaks. The one enumeration a view implements:
+    /// the partners seen before a break are by construction a prefix of
+    /// what [`TriangleAdjacency::for_each_partner`] yields.
+    fn try_for_each_partner<F>(&self, e: u32, f: F) -> ControlFlow<()>
+    where
+        F: FnMut(u32) -> ControlFlow<()>;
+
     /// Calls `f` for every same-k triangle partner of `e`.
-    fn for_each_partner<F: FnMut(u32)>(&self, e: u32, f: F);
+    fn for_each_partner<F: FnMut(u32)>(&self, e: u32, mut f: F) {
+        let _ = self.try_for_each_partner(e, |ei| {
+            f(ei);
+            ControlFlow::Continue(())
+        });
+    }
 }
 
 /// Knobs of the Shiloach–Vishkin driver.
@@ -154,18 +168,24 @@ pub fn afforest_edge_components<V: TriangleAdjacency + ?Sized>(
     }
     let r = policy.neighbor_rounds;
 
-    // Phase 1: link the first r triangle partners of every edge; the rest of
-    // the enumeration yields no links, so this pass touches only a subgraph.
-    members.par_iter().for_each(|&e| {
-        let mut linked = 0usize;
-        view.for_each_partner(e, |ei| {
-            if linked < r {
+    // Phase 1: link the first r triangle partners of every edge and stop
+    // enumerating there, so this pass touches only a subgraph. With r = 0
+    // there is nothing to link or compress.
+    if r > 0 {
+        members.par_iter().for_each(|&e| {
+            let mut linked = 0usize;
+            let _ = view.try_for_each_partner(e, |ei| {
                 atomic_link(parent, e, ei);
                 linked += 1;
-            }
+                if linked < r {
+                    ControlFlow::Continue(())
+                } else {
+                    ControlFlow::Break(())
+                }
+            });
         });
-    });
-    compress_members(parent, members);
+        compress_members(parent, members);
+    }
 
     // Phase 2: estimate the giant component from a sample of the group.
     let giant = sample_giant_member(parent, members, policy.sample_size, policy.seed);
@@ -185,7 +205,13 @@ pub fn afforest_edge_components<V: TriangleAdjacency + ?Sized>(
             atomic_link(parent, e, ei);
         });
     });
-    et_obs::counter_add("afforest.giant_skips", giant_skips.into_inner());
+    if tracing {
+        // skips + finish_edges = |members|: how much of the group the
+        // sampled giant actually covered.
+        let skips = giant_skips.into_inner();
+        et_obs::counter_add("afforest.giant_skips", skips);
+        et_obs::counter_add("afforest.finish_edges", members.len() as u64 - skips);
+    }
     compress_members(parent, members);
 }
 
@@ -245,10 +271,11 @@ mod tests {
     }
 
     impl TriangleAdjacency for ListView {
-        fn for_each_partner<F: FnMut(u32)>(&self, e: u32, mut f: F) {
-            for &p in &self.partners[e as usize] {
-                f(p);
-            }
+        fn try_for_each_partner<F>(&self, e: u32, f: F) -> ControlFlow<()>
+        where
+            F: FnMut(u32) -> ControlFlow<()>,
+        {
+            self.partners[e as usize].iter().copied().try_for_each(f)
         }
     }
 

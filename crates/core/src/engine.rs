@@ -19,9 +19,10 @@ use crate::baseline::EdgeDict;
 use crate::pipeline::Variant;
 use et_cc::engine::TriangleAdjacency;
 use et_graph::{EdgeId, EdgeIndexedGraph, VertexId};
-use et_triangle::for_each_truss_triangle_of_edge;
 use et_triangle::intersect::merge_intersect_into;
+use et_triangle::try_for_each_triangle_of_edge;
 use std::cell::RefCell;
+use std::ops::ControlFlow;
 use std::sync::atomic::AtomicU32;
 
 /// Baseline edge-id resolution: intersect the raw neighbor lists of `e`'s
@@ -58,7 +59,10 @@ thread_local! {
 }
 
 impl TriangleAdjacency for DictTriangleView<'_> {
-    fn for_each_partner<F: FnMut(u32)>(&self, e: u32, mut f: F) {
+    fn try_for_each_partner<F>(&self, e: u32, mut f: F) -> ControlFlow<()>
+    where
+        F: FnMut(u32) -> ControlFlow<()>,
+    {
         let (u, v) = self.graph.endpoints(e);
         COMMON.with(|cell| {
             let ws = &mut *cell.borrow_mut();
@@ -67,19 +71,35 @@ impl TriangleAdjacency for DictTriangleView<'_> {
             for &w in ws.iter() {
                 let e1 = self.dict.lookup(u, w).expect("triangle edge must exist");
                 let e2 = self.dict.lookup(v, w).expect("triangle edge must exist");
-                let (k1, k2) = (self.trussness[e1 as usize], self.trussness[e2 as usize]);
-                if k1 < self.k || k2 < self.k {
-                    continue; // triangle not inside the k-truss
-                }
-                if k1 == self.k {
-                    f(e1);
-                }
-                if k2 == self.k {
-                    f(e2);
-                }
+                same_k_partners(self.trussness, self.k, e1, e2, &mut f)?;
             }
-        });
+            ControlFlow::Continue(())
+        })
     }
+}
+
+/// Yields the edges of `{e1, e2}` that are same-k partners through this
+/// triangle: none unless the triangle lies inside the k-truss, then each
+/// of the two with trussness exactly `k`, `e1` first.
+#[inline]
+pub fn same_k_partners(
+    trussness: &[u32],
+    k: u32,
+    e1: EdgeId,
+    e2: EdgeId,
+    f: &mut impl FnMut(u32) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    let (k1, k2) = (trussness[e1 as usize], trussness[e2 as usize]);
+    if k1 < k || k2 < k {
+        return ControlFlow::Continue(()); // triangle not inside the k-truss
+    }
+    if k1 == k {
+        f(e1)?;
+    }
+    if k2 == k {
+        f(e2)?;
+    }
+    ControlFlow::Continue(())
 }
 
 /// C-Optimal edge-id resolution: the trussness-filtered triangle enumeration
@@ -103,15 +123,13 @@ impl<'a> CsrTriangleView<'a> {
 }
 
 impl TriangleAdjacency for CsrTriangleView<'_> {
-    fn for_each_partner<F: FnMut(u32)>(&self, e: u32, mut f: F) {
-        for_each_truss_triangle_of_edge(self.graph, self.trussness, self.k, e, |_, e1, e2| {
-            if self.trussness[e1 as usize] == self.k {
-                f(e1);
-            }
-            if self.trussness[e2 as usize] == self.k {
-                f(e2);
-            }
-        });
+    fn try_for_each_partner<F>(&self, e: u32, mut f: F) -> ControlFlow<()>
+    where
+        F: FnMut(u32) -> ControlFlow<()>,
+    {
+        try_for_each_triangle_of_edge(self.graph, e, |_, e1, e2| {
+            same_k_partners(self.trussness, self.k, e1, e2, &mut f)
+        })
     }
 }
 
@@ -176,6 +194,74 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Breaks `view`'s enumeration of `e` after 1, 2, 3, half and all of its
+    /// partners; each time exactly that prefix of `for_each_partner`'s
+    /// sequence must have been visited. Returns the partner count.
+    fn assert_breaks_visit_prefixes<V: TriangleAdjacency>(view: &V, e: u32) -> usize {
+        let mut all = Vec::new();
+        view.for_each_partner(e, |p| all.push(p));
+        for stop in [1, 2, 3, all.len() / 2, all.len()] {
+            if stop == 0 || stop > all.len() {
+                continue;
+            }
+            let mut seen = Vec::new();
+            let flow = view.try_for_each_partner(e, |p| {
+                seen.push(p);
+                if seen.len() == stop {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            assert!(flow.is_break(), "e={e} stop={stop}");
+            assert_eq!(seen, all[..stop], "e={e} stop={stop}");
+        }
+        all.len()
+    }
+
+    /// Both views, on edges whose endpoint degrees sit on either side of
+    /// `GALLOP_RATIO` (so the merge and the gallop kernels both run), with
+    /// the SIMD kernels off and — in a `--features simd` build — on.
+    #[test]
+    fn breaking_visits_a_prefix_on_merge_and_gallop_sides() {
+        use et_triangle::intersect::GALLOP_RATIO;
+        // A K5 on {0..4} whose vertex 0 is also a 200-spoke hub: the clique
+        // edges at 0 intersect a 200-list with a 4-list (gallop), the others
+        // two 4-lists (merge); every clique edge has six same-k partners.
+        let mut b = et_graph::GraphBuilder::new(201);
+        for u in 0..5u32 {
+            for v in (u + 1)..5 {
+                b.add_edge(u, v);
+            }
+        }
+        for v in 5..=200u32 {
+            b.add_edge(0, v);
+        }
+        let eg = EdgeIndexedGraph::new(b.build());
+        let tau = decompose_serial(&eg).trussness;
+        let dict = EdgeDict::build(&eg);
+        for simd_on in [false, true] {
+            et_triangle::set_simd_enabled(simd_on);
+            let (mut merged, mut galloped) = (0usize, 0usize);
+            for e in (0..eg.num_edges() as u32).filter(|&e| tau[e as usize] >= 3) {
+                let k = tau[e as usize];
+                let cv = CsrTriangleView::new(&eg, &tau, k);
+                let dv = DictTriangleView::new(&eg, &dict, &tau, k);
+                assert_eq!(assert_breaks_visit_prefixes(&cv, e), 6);
+                assert_eq!(assert_breaks_visit_prefixes(&dv, e), 6);
+                let (u, v) = eg.endpoints(e);
+                let (du, dv) = (eg.degree(u), eg.degree(v));
+                if du.max(dv) / du.min(dv) >= GALLOP_RATIO {
+                    galloped += 1;
+                } else {
+                    merged += 1;
+                }
+            }
+            assert_eq!((merged, galloped), (6, 4));
+        }
+        et_triangle::set_simd_enabled(true);
     }
 
     /// The dispatcher and the per-variant entry points agree.

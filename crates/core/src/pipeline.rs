@@ -8,11 +8,13 @@
 //! * [`Schedule::PerK`] — the paper's loop: per ascending k, SpNode then
 //!   SpEdge "invoked consecutively upon the same Φ_k set";
 //! * [`Schedule::Wave`] (default) — two parallel waves: every Φ_k SpNode
-//!   group dispatched concurrently, one barrier, then every SpEdge group
-//!   concurrently. Sound because Φ_k groups are mutually independent for
-//!   SpNode (hooking only links same-k edges, and Π values in Φ_k cells
-//!   never leave Φ_k), while SpEdge only *reads* Π roots of edges with
-//!   trussness ≤ k — all finalized at the barrier. The wave keeps the rayon
+//!   group dispatched concurrently, one barrier, then one triangle-once
+//!   SpEdge pass over the whole graph
+//!   ([`crate::spedge::spedge_triangle_once`]). Sound because Φ_k groups are
+//!   mutually independent for SpNode (hooking only links same-k edges, and Π
+//!   values in Φ_k cells never leave Φ_k), while SpEdge only *reads* Π roots
+//!   — all finalized at the barrier, which is what lets one visit per
+//!   triangle stand in for Algorithm 3's three. The wave keeps the rayon
 //!   pool saturated across the many tiny high-k groups that starve the
 //!   per-k loop.
 
@@ -22,7 +24,7 @@ use crate::hierarchy::TrussHierarchy;
 use crate::index::SuperGraph;
 use crate::phi::PhiGroups;
 use crate::smgraph::merge_supergraph;
-use crate::spedge::{spedge_group, RootPair};
+use crate::spedge::{spedge_group, spedge_triangle_once, RootPair};
 use crate::timings::{timed_phase, timed_phase_k, Kernel, KernelTimings};
 use et_graph::{EdgeId, EdgeIndexedGraph, ShapeStats};
 use et_truss::TrussDecomposition;
@@ -190,9 +192,10 @@ pub enum Schedule {
     /// SpEdge(Φ_k). Parallelism exists only *inside* a group, so tiny
     /// high-k groups leave most of the pool idle.
     PerK,
-    /// Two parallel waves over all groups with one barrier between them.
-    /// Produces the identical index (groups are independent; SpEdge reads
-    /// only finalized Π roots) while exposing cross-group parallelism.
+    /// Two parallel waves with one barrier between them: every SpNode
+    /// group, then a triangle-once SpEdge pass. Produces the identical index
+    /// (groups are independent; SpEdge reads only finalized Π roots) while
+    /// exposing cross-group parallelism.
     #[default]
     Wave,
 }
@@ -381,23 +384,13 @@ pub fn build_index_with_decomposition_scheduled(
             // Barrier: the par_iter above completes only when every group's
             // Π is finalized (roots fully shortcut/compressed).
 
-            // Wave 2: every SpEdge group concurrently. SpEdge only *reads*
-            // Π roots of edges with trussness ≤ k, all finalized by wave 1.
-            // Per-k subset lists are collected in k order so the SmGraph
-            // input stays deterministic.
+            // Wave 2: one triangle-once pass over the whole graph. Each
+            // triangle is seen from its pivot edge with all three trussness
+            // values in hand and reads the Π roots of all three edges — all
+            // finalized by wave 1. Subsets arrive in pivot-range order, so
+            // the SmGraph input stays deterministic.
             timed_phase(timings, Kernel::SpEdge, "SpEdgeWave", || {
-                let wave = et_obs::wave("SpEdgeWave");
-                let per_k: Vec<Vec<Vec<RootPair>>> = groups
-                    .par_iter()
-                    .map(|&(k, group)| {
-                        let _task = wave.task();
-                        let _span = et_obs::span("SpEdge").arg("k", u64::from(k));
-                        let mut subsets = Vec::new();
-                        spedge_group(graph, tau, k, group, &parent, &mut subsets);
-                        subsets
-                    })
-                    .collect();
-                per_k.into_iter().flatten().collect()
+                spedge_triangle_once(graph, tau, &parent)
             })
         }
     };

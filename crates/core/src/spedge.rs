@@ -1,16 +1,31 @@
-//! SpEdge — parallel superedge creation (Algorithm 3).
+//! SpEdge — parallel superedge creation.
 //!
-//! For each edge e of the current Φ_k set, every triangle through e is
-//! examined; when e's trussness k strictly exceeds the triangle's minimum
-//! trussness, a superedge is recorded from the supernode of the minimum edge
-//! up to the supernode of e ("create superedge downward", ln. 9–12). Each
-//! parallel job appends into its own subset — the thread-local
-//! `sp_edges[tid]` of the paper — so no synchronization is needed; the
-//! subsets are merged later by Algorithm 4 (see [`crate::smgraph`]).
+//! Two formulations that emit the same candidate *set*:
+//!
+//! * [`spedge_group`] — Algorithm 3 verbatim, the form [`Schedule::PerK`]
+//!   and `reproduce` run. For each edge e of the current Φ_k set, every
+//!   triangle through e is examined; when e's trussness k strictly exceeds
+//!   the triangle's minimum trussness, a superedge is recorded from the
+//!   supernode of the minimum edge up to the supernode of e ("create
+//!   superedge downward", ln. 9–12). Every triangle is walked from each of
+//!   its three edges.
+//! * [`spedge_triangle_once`] — the wave schedule's pass. Every triangle is
+//!   visited once, from its *pivot* edge (the edge between its two smallest
+//!   vertices), with all three trussness values in hand, and emits the
+//!   pairs Algorithm 3 would have emitted from its three visits. Needs Π
+//!   final for *every* group, which only the wave barrier provides.
+//!
+//! Either way each parallel job appends into its own subset — the
+//! thread-local `sp_edges[tid]` of the paper — so no synchronization is
+//! needed; the subsets are merged later by Algorithm 4 (see
+//! [`crate::smgraph`]).
+//!
+//! [`Schedule::PerK`]: crate::pipeline::Schedule::PerK
 
-use et_graph::{EdgeId, EdgeIndexedGraph};
-use et_triangle::for_each_triangle_of_edge;
+use et_graph::{schedule, EdgeId, EdgeIndexedGraph};
+use et_triangle::{for_each_pivot_triangle_of_edge, for_each_triangle_of_edge};
 use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A superedge candidate: `(Π-root of the lower-trussness supernode,
@@ -59,57 +74,137 @@ pub fn spedge_group_with<T>(
 ) where
     T: Fn(EdgeId, &mut dyn FnMut(EdgeId, EdgeId)) + Sync,
 {
-    // Seed each job's buffer from the group size: a Φ_k split across the
-    // pool yields roughly |Φ_k|/threads edges per job, and superedge
-    // candidates are rare (≲1 per edge on real graphs), so this one reserve
-    // absorbs the common case without growth doublings.
-    let threads = rayon::current_num_threads().max(1);
-    let reserve = phi_k.len() / threads + 1;
     let new_subsets: Vec<Vec<RootPair>> = phi_k
         .par_iter()
-        .fold(
-            || Vec::with_capacity(reserve),
-            |mut acc: Vec<RootPair>, &e| {
-                let pe = parent[e as usize].load(Ordering::Relaxed);
-                triangles(e, &mut |e1, e2| {
+        .fold(Vec::new, |mut acc: Vec<RootPair>, &e| {
+            let pe = parent[e as usize].load(Ordering::Relaxed);
+            triangles(e, &mut |e1, e2| {
+                let (k1, k2) = (trussness[e1 as usize], trussness[e2 as usize]);
+                let lowest = k.min(k1).min(k2);
+                if lowest < 3 {
+                    return; // unindexed edge in the triangle — no superedge
+                }
+                // "Create superedge downward, k > k1" (ln. 9–10).
+                if k > lowest && lowest == k1 {
+                    acc.push((parent[e1 as usize].load(Ordering::Relaxed), pe));
+                }
+                // "Create superedge downward, k > k2" (ln. 11–12).
+                if k > lowest && lowest == k2 {
+                    acc.push((parent[e2 as usize].load(Ordering::Relaxed), pe));
+                }
+            });
+            acc
+        })
+        .collect();
+    record_subset_stats(&new_subsets);
+    subsets.extend(new_subsets.into_iter().filter(|s| !s.is_empty()));
+}
+
+/// Tasks per worker for the triangle-once wave.
+const TASKS_PER_THREAD: usize = 8;
+
+/// The triangle-once SpEdge pass over the whole graph: one wave of
+/// contiguous pivot-edge ranges, each returning its sorted, deduplicated
+/// subset of superedge candidates (empty subsets dropped).
+///
+/// A triangle with trussness values `lowest = min(k, k1, k2) ≥ 3`, not all
+/// equal, emits `(Π(a lowest edge), Π(x))` for each of its edges `x` above
+/// `lowest`. That is Algorithm 3's output summed over the triangle's three
+/// visits: when two edges tie for lowest, the third edge lies above them, so
+/// the triangle is inside the `lowest`-truss and the two are
+/// `lowest`-triangle connected — one supernode, one root, one pair.
+///
+/// Must run after SpNode has finalized Π for **every** group (the wave
+/// barrier): unlike Algorithm 3 it reads the roots of all three edges,
+/// whichever group the pivot belongs to.
+pub fn spedge_triangle_once(
+    graph: &EdgeIndexedGraph,
+    trussness: &[u32],
+    parent: &[AtomicU32],
+) -> Vec<Vec<RootPair>> {
+    let m = graph.num_edges();
+    // Equal pivot counts, not equal estimated work: an estimate pass over
+    // all m edges cost more than the imbalance it removed (DESIGN.md "Engine
+    // & scheduling"); a few tasks per worker, claimed dynamically, absorb
+    // the skew.
+    let per = m
+        .div_ceil(schedule::default_tasks_per_thread(m, TASKS_PER_THREAD))
+        .max(1);
+    let tasks: Vec<Range<usize>> = (0..m)
+        .step_by(per)
+        .map(|lo| lo..(lo + per).min(m))
+        .collect();
+    let wave = et_obs::wave("SpEdgeWave");
+    let root = |e: EdgeId| parent[e as usize].load(Ordering::Relaxed);
+    let subsets: Vec<Vec<RootPair>> = tasks
+        .into_par_iter()
+        .map(|range| {
+            let _task = wave.task();
+            let _span = et_obs::span("SpEdge").arg("pivots", range.len() as u64);
+            let mut acc: Vec<RootPair> = Vec::new();
+            for e in range.start as EdgeId..range.end as EdgeId {
+                let k = trussness[e as usize];
+                if k < 3 {
+                    continue; // in no triangle
+                }
+                for_each_pivot_triangle_of_edge(graph, e, |_, e1, e2| {
                     let (k1, k2) = (trussness[e1 as usize], trussness[e2 as usize]);
+                    if k1 == k && k2 == k {
+                        return; // one trussness class — no superedge
+                    }
                     let lowest = k.min(k1).min(k2);
                     if lowest < 3 {
                         return; // unindexed edge in the triangle — no superedge
                     }
-                    // "Create superedge downward, k > k1" (ln. 9–10).
-                    if k > lowest && lowest == k1 {
-                        acc.push((parent[e1 as usize].load(Ordering::Relaxed), pe));
-                    }
-                    // "Create superedge downward, k > k2" (ln. 11–12).
-                    if k > lowest && lowest == k2 {
-                        acc.push((parent[e2 as usize].load(Ordering::Relaxed), pe));
+                    let low = if k == lowest {
+                        e
+                    } else if k1 == lowest {
+                        e1
+                    } else {
+                        e2
+                    };
+                    let low_root = root(low);
+                    for (kx, x) in [(k, e), (k1, e1), (k2, e2)] {
+                        if kx > lowest {
+                            let pair = (low_root, root(x));
+                            // A pivot's triangles mostly repeat its own pair.
+                            if acc.last() != Some(&pair) {
+                                acc.push(pair);
+                            }
+                        }
                     }
                 });
-                acc
-            },
-        )
+            }
+            acc.sort_unstable();
+            acc.dedup();
+            acc
+        })
         .collect();
-    if et_obs::enabled() {
-        // Per-job buffer sizes reveal load skew across the thread-local
-        // subsets (the sp_edges[tid] of the paper).
-        let mut total = 0u64;
-        let mut max_len = 0u64;
-        let mut jobs = 0u64;
-        for s in new_subsets.iter().filter(|s| !s.is_empty()) {
-            let len = s.len() as u64;
-            et_obs::record_value("spedge.buffer_len", len);
-            total += len;
-            max_len = max_len.max(len);
-            jobs += 1;
-        }
-        et_obs::counter_add("spedge.candidates", total);
-        if jobs > 0 && total > 0 {
-            // Skew = max subset length over the mean, ×100 (100 = balanced).
-            et_obs::record_value("spedge.subset_skew", max_len * 100 * jobs / total);
-        }
+    record_subset_stats(&subsets);
+    subsets.into_iter().filter(|s| !s.is_empty()).collect()
+}
+
+/// Per-job buffer sizes (the `sp_edges[tid]` of the paper) and the load skew
+/// across them.
+fn record_subset_stats(subsets: &[Vec<RootPair>]) {
+    if !et_obs::enabled() {
+        return;
     }
-    subsets.extend(new_subsets.into_iter().filter(|s| !s.is_empty()));
+    let mut total = 0u64;
+    let mut max_len = 0u64;
+    let mut jobs = 0u64;
+    for s in subsets.iter().filter(|s| !s.is_empty()) {
+        let len = s.len() as u64;
+        et_obs::record_value("spedge.buffer_len", len);
+        total += len;
+        max_len = max_len.max(len);
+        jobs += 1;
+    }
+    et_obs::counter_add("spedge.candidates", total);
+    if jobs > 0 && total > 0 {
+        // Skew = max subset length over the mean, ×100 (100 = balanced).
+        et_obs::record_value("spedge.subset_skew", max_len * 100 * jobs / total);
+    }
 }
 
 #[cfg(test)]
@@ -158,6 +253,92 @@ mod tests {
             assert_ne!(tau[a as usize], tau[b as usize]);
             assert_eq!(parent[a as usize], a, "pair endpoint must be a root");
             assert_eq!(parent[b as usize], b, "pair endpoint must be a root");
+        }
+    }
+
+    /// A `side × side` grid with both axis edges and one diagonal per cell,
+    /// alternating by parity: every edge in one or two triangles, k_max 3.
+    fn triangulated_grid(side: u32) -> et_graph::CsrGraph {
+        let at = |r: u32, c: u32| r * side + c;
+        let mut b = et_graph::GraphBuilder::new((side * side) as usize);
+        for r in 0..side {
+            for c in 0..side {
+                if c + 1 < side {
+                    b.add_edge(at(r, c), at(r, c + 1));
+                }
+                if r + 1 < side {
+                    b.add_edge(at(r, c), at(r + 1, c));
+                }
+                if r + 1 < side && c + 1 < side {
+                    if (r + c) % 2 == 0 {
+                        b.add_edge(at(r, c), at(r + 1, c + 1));
+                    } else {
+                        b.add_edge(at(r, c + 1), at(r + 1, c));
+                    }
+                }
+            }
+        }
+        b.build()
+    }
+
+    fn candidate_set(subsets: Vec<Vec<RootPair>>) -> Vec<RootPair> {
+        let mut pairs: Vec<RootPair> = subsets.into_iter().flatten().collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
+    }
+
+    /// The triangle-once pass and Algorithm 3 over every Φ_k, both reading
+    /// one finalized Π, must emit the same set of candidates.
+    #[test]
+    fn triangle_once_emits_algorithm_3_candidate_set() {
+        let mut graphs: Vec<(String, et_graph::CsrGraph)> = et_gen::fixtures::all_fixtures()
+            .into_iter()
+            .map(|f| (f.name.to_string(), f.graph.clone()))
+            .collect();
+        graphs.push((
+            "rmat+cliques".into(),
+            et_gen::rmat_with_cliques(et_gen::RmatConfig::graph500(9, 8, 5), 40, (4, 8)),
+        ));
+        graphs.push((
+            "overlapping cliques".into(),
+            et_gen::overlapping_cliques(250, 50, (3, 8), 120, 11),
+        ));
+        graphs.push(("gnm".into(), et_gen::gnm(120, 900, 4)));
+        graphs.push(("grid".into(), triangulated_grid(12)));
+
+        for (name, graph) in graphs {
+            let eg = EdgeIndexedGraph::new(graph);
+            let tau = decompose_serial(&eg).trussness;
+            let phi = PhiGroups::build(&tau);
+            let parent: Vec<AtomicU32> = (0..eg.num_edges() as u32).map(AtomicU32::new).collect();
+            for (k, group) in phi.iter() {
+                spnode_group_coptimal(&eg, &tau, k, group, &parent);
+            }
+            for threads in [1usize, 4] {
+                let (algorithm_3, once) = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("test pool")
+                    .install(|| {
+                        let mut subsets = Vec::new();
+                        for (k, group) in phi.iter() {
+                            spedge_group(&eg, &tau, k, group, &parent, &mut subsets);
+                        }
+                        (subsets, spedge_triangle_once(&eg, &tau, &parent))
+                    });
+                for subset in &once {
+                    assert!(
+                        subset.windows(2).all(|w| w[0] < w[1]),
+                        "{name}: a task's subset is not sorted and deduplicated"
+                    );
+                }
+                assert_eq!(
+                    candidate_set(once),
+                    candidate_set(algorithm_3),
+                    "{name} at {threads} threads"
+                );
+            }
         }
     }
 

@@ -2,6 +2,7 @@
 
 use et_graph::{CsrGraph, EdgeId, EdgeIndexedGraph, GraphBuilder, VertexId};
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// The u32 id space is exhausted: assigning one more vertex or edge id
 /// would collide with the reserved `u32::MAX` sentinel or wrap around.
@@ -251,12 +252,12 @@ impl DynamicGraph {
         Some(e)
     }
 
-    /// Invokes `f(w, e1, e2)` for every triangle through live edge `e`
-    /// (lockstep merge of the two sorted neighbor rows, like the static
-    /// kernel).
-    pub fn for_each_triangle_of_edge<F>(&self, e: EdgeId, mut f: F)
+    /// Invokes `f(w, e1, e2)` for the triangles through live edge `e`, in
+    /// ascending `w` order until `f` breaks (lockstep merge of the two sorted
+    /// neighbor rows, like the static kernel).
+    pub fn try_for_each_triangle_of_edge<F>(&self, e: EdgeId, mut f: F) -> ControlFlow<()>
     where
-        F: FnMut(VertexId, EdgeId, EdgeId),
+        F: FnMut(VertexId, EdgeId, EdgeId) -> ControlFlow<()>,
     {
         let (u, v) = self.endpoints(e);
         let nu = &self.adj[u as usize];
@@ -267,12 +268,24 @@ impl DynamicGraph {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
-                    f(nu[i].0, nu[i].1, nv[j].1);
+                    f(nu[i].0, nu[i].1, nv[j].1)?;
                     i += 1;
                     j += 1;
                 }
             }
         }
+        ControlFlow::Continue(())
+    }
+
+    /// [`DynamicGraph::try_for_each_triangle_of_edge`] to exhaustion.
+    pub fn for_each_triangle_of_edge<F>(&self, e: EdgeId, mut f: F)
+    where
+        F: FnMut(VertexId, EdgeId, EdgeId),
+    {
+        let _ = self.try_for_each_triangle_of_edge(e, |w, e1, e2| {
+            f(w, e1, e2);
+            ControlFlow::Continue(())
+        });
     }
 
     /// Iterates live `(eid, u, v)` triples.

@@ -2,6 +2,7 @@
 
 use crate::DynamicGraph;
 use et_cc::engine::{sv_edge_components, SvPolicy, TriangleAdjacency};
+use et_core::engine::same_k_partners;
 use et_core::phi::PhiGroups;
 use et_core::remap::remap_and_assemble;
 use et_core::smgraph::merge_supergraph;
@@ -10,6 +11,7 @@ use et_core::SuperGraph;
 use et_graph::EdgeId;
 use rayon::prelude::*;
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// What one update did — lets callers (and tests) observe the reuse.
@@ -222,19 +224,13 @@ struct DynTriangleView<'a> {
 }
 
 impl TriangleAdjacency for DynTriangleView<'_> {
-    fn for_each_partner<F: FnMut(u32)>(&self, e: u32, mut f: F) {
-        self.graph.for_each_triangle_of_edge(e, |_, e1, e2| {
-            let (k1, k2) = (self.trussness[e1 as usize], self.trussness[e2 as usize]);
-            if k1 < self.k || k2 < self.k {
-                return; // triangle not inside the k-truss
-            }
-            if k1 == self.k {
-                f(e1);
-            }
-            if k2 == self.k {
-                f(e2);
-            }
-        });
+    fn try_for_each_partner<F>(&self, e: u32, mut f: F) -> ControlFlow<()>
+    where
+        F: FnMut(u32) -> ControlFlow<()>,
+    {
+        self.graph.try_for_each_triangle_of_edge(e, |_, e1, e2| {
+            same_k_partners(self.trussness, self.k, e1, e2, &mut f)
+        })
     }
 }
 
@@ -305,6 +301,46 @@ mod tests {
 
     fn dyn_from_static(g: et_graph::CsrGraph) -> DynamicIndex {
         DynamicIndex::build(DynamicGraph::from_indexed(&EdgeIndexedGraph::new(g)))
+    }
+
+    /// Breaking the dynamic view's enumeration visits exactly a prefix of
+    /// what `for_each_partner` yields, and the view agrees with the static
+    /// `CsrTriangleView` partner for partner.
+    #[test]
+    fn dyn_view_breaks_on_a_prefix_of_the_static_sequence() {
+        let base = EdgeIndexedGraph::new(et_gen::overlapping_cliques(120, 25, (3, 7), 40, 3));
+        let tau = et_truss::decompose_parallel(&base).trussness;
+        let graph = DynamicGraph::from_indexed(&base);
+        for e in 0..base.num_edges() as u32 {
+            let k = tau[e as usize];
+            if k < 3 {
+                continue;
+            }
+            let view = DynTriangleView {
+                graph: &graph,
+                trussness: &tau,
+                k,
+            };
+            let mut all = Vec::new();
+            view.for_each_partner(e, |p| all.push(p));
+            let mut stat = Vec::new();
+            et_core::engine::CsrTriangleView::new(&base, &tau, k)
+                .for_each_partner(e, |p| stat.push(p));
+            assert_eq!(all, stat, "edge {e}");
+            for stop in 1..=all.len() {
+                let mut seen = Vec::new();
+                let flow = view.try_for_each_partner(e, |p| {
+                    seen.push(p);
+                    if seen.len() == stop {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                });
+                assert!(flow.is_break(), "edge {e} stop {stop}");
+                assert_eq!(seen, all[..stop], "edge {e} stop {stop}");
+            }
+        }
     }
 
     #[test]

@@ -7,24 +7,68 @@
 //! aligned per-arc edge-id arrays in lockstep — this module is that kernel.
 
 use et_graph::{EdgeId, EdgeIndexedGraph, VertexId};
+use std::ops::ControlFlow;
 
 /// Invokes `f(w, e1, e2)` for every triangle `{e, (u,w), (v,w)}` containing
-/// edge `e = (u, v)`, where `e1 = id(u, w)` and `e2 = id(v, w)`.
+/// edge `e = (u, v)`, where `e1 = id(u, w)` and `e2 = id(v, w)`, in ascending
+/// `w` order until `f` breaks: the triangles seen before a break are a prefix
+/// of those [`for_each_triangle_of_edge`] reports.
 ///
 /// Cost: one adaptive intersection of `N(u)` and `N(v)` — merge, gallop, or
-/// their SIMD variants per [`crate::intersect::intersect_matches`]; no
+/// their SIMD variants per [`crate::intersect::try_intersect_matches`]; no
 /// hashing, no per-match binary search; the per-arc edge ids ride along via
 /// the reported index pairs.
 #[inline]
-pub fn for_each_triangle_of_edge<F>(graph: &EdgeIndexedGraph, e: EdgeId, mut f: F)
+pub fn try_for_each_triangle_of_edge<F>(
+    graph: &EdgeIndexedGraph,
+    e: EdgeId,
+    mut f: F,
+) -> ControlFlow<()>
 where
-    F: FnMut(VertexId, EdgeId, EdgeId),
+    F: FnMut(VertexId, EdgeId, EdgeId) -> ControlFlow<()>,
 {
     let (u, v) = graph.endpoints(e);
     let nu = graph.neighbors(u);
     let nv = graph.neighbors(v);
     let eu = graph.arc_eids(u);
     let ev = graph.arc_eids(v);
+    crate::intersect::try_intersect_matches(nu, nv, |i, j| f(nu[i], eu[i], ev[j]))
+}
+
+/// [`try_for_each_triangle_of_edge`] to exhaustion.
+#[inline]
+pub fn for_each_triangle_of_edge<F>(graph: &EdgeIndexedGraph, e: EdgeId, mut f: F)
+where
+    F: FnMut(VertexId, EdgeId, EdgeId),
+{
+    let _ = try_for_each_triangle_of_edge(graph, e, |w, e1, e2| {
+        f(w, e1, e2);
+        ControlFlow::Continue(())
+    });
+}
+
+/// Invokes `f(w, e1, e2)` for the triangles edge `e = (u, v)`, `u < v`, is
+/// the *pivot* of: those whose third vertex `w` exceeds `v`, with
+/// `e1 = id(u, w)` and `e2 = id(v, w)`. A triangle `u < v < w` has exactly one
+/// pivot — its edge between the two smallest vertices — so running this over
+/// every edge visits every triangle once, with all three edge ids in hand.
+///
+/// Only the suffixes of `N(u)` and `N(v)` above `v` are intersected (two
+/// binary searches find them), so the merge is strictly shorter than
+/// [`for_each_triangle_of_edge`]'s full-list intersection and needs nothing
+/// beyond the id-ordered CSR.
+#[inline]
+pub fn for_each_pivot_triangle_of_edge<F>(graph: &EdgeIndexedGraph, e: EdgeId, mut f: F)
+where
+    F: FnMut(VertexId, EdgeId, EdgeId),
+{
+    let (u, v) = graph.endpoints(e);
+    let (nu, nv) = (graph.neighbors(u), graph.neighbors(v));
+    let su = nu.partition_point(|&x| x <= v);
+    let sv = nv.partition_point(|&x| x <= v);
+    let (nu, nv) = (&nu[su..], &nv[sv..]);
+    let eu = &graph.arc_eids(u)[su..];
+    let ev = &graph.arc_eids(v)[sv..];
     crate::intersect::intersect_matches(nu, nv, |i, j| f(nu[i], eu[i], ev[j]));
 }
 
@@ -86,6 +130,66 @@ mod tests {
             let mut c = 0;
             for_each_triangle_of_edge(&g, e, |_, _, _| c += 1);
             assert_eq!(c, support[e as usize], "edge {e}");
+        }
+    }
+
+    #[test]
+    fn breaking_visits_a_prefix() {
+        let g = EdgeIndexedGraph::new(et_gen::gnm(70, 500, 33));
+        for e in 0..g.num_edges() as EdgeId {
+            let mut all = Vec::new();
+            for_each_triangle_of_edge(&g, e, |w, e1, e2| all.push((w, e1, e2)));
+            for stop in 1..=all.len() {
+                let mut seen = Vec::new();
+                let flow = try_for_each_triangle_of_edge(&g, e, |w, e1, e2| {
+                    seen.push((w, e1, e2));
+                    if seen.len() == stop {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                });
+                assert!(flow.is_break());
+                assert_eq!(seen, all[..stop], "edge {e} stop {stop}");
+            }
+        }
+    }
+
+    #[test]
+    fn pivot_enumeration_sees_every_triangle_once() {
+        for g in [
+            et_gen::gnm(70, 500, 33),
+            et_gen::rmat_small(8, 8, 5),
+            et_gen::overlapping_cliques(120, 25, (3, 7), 40, 3),
+        ] {
+            let g = EdgeIndexedGraph::new(g);
+            // Every (edge, triangle) incidence, from the per-edge enumeration…
+            let mut per_edge = Vec::new();
+            for e in 0..g.num_edges() as EdgeId {
+                for_each_triangle_of_edge(&g, e, |_, e1, e2| {
+                    let mut t = [e, e1, e2];
+                    t.sort_unstable();
+                    per_edge.push(t);
+                });
+            }
+            per_edge.sort_unstable();
+            // …is each pivot triangle three times over.
+            let mut pivots = Vec::new();
+            for e in 0..g.num_edges() as EdgeId {
+                let (u, v) = g.endpoints(e);
+                for_each_pivot_triangle_of_edge(&g, e, |w, e1, e2| {
+                    assert!(u < v && v < w);
+                    assert_eq!(g.endpoints(e1), (u, w));
+                    assert_eq!(g.endpoints(e2), (v, w));
+                    let mut t = [e, e1, e2];
+                    t.sort_unstable();
+                    pivots.push(t);
+                });
+            }
+            pivots.sort_unstable();
+            assert_eq!(pivots.len() as u64, crate::count::count_triangles(&g));
+            let thrice: Vec<[EdgeId; 3]> = pivots.iter().flat_map(|&t| [t, t, t]).collect();
+            assert_eq!(thrice, per_edge);
         }
     }
 

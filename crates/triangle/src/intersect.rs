@@ -4,8 +4,9 @@
 //! strategy depends on the length ratio of the two lists. Scalar merge,
 //! binary-probe, and galloping kernels are provided plus an adaptive
 //! dispatcher ([`intersect_into`] / [`intersect_count`] /
-//! [`intersect_matches`]) that switches to galloping when the lists are very
-//! unbalanced — the regime of skewed social graphs. With the `simd` cargo
+//! [`intersect_matches`] and its breakable core [`try_intersect_matches`])
+//! that switches to galloping when the lists are very unbalanced — the
+//! regime of skewed social graphs. With the `simd` cargo
 //! feature the dispatcher routes balanced lists through the block-compare
 //! merge and lopsided ones through the vectorized galloping probe of
 //! [`crate::simd`]; [`set_simd_enabled`] can switch the vector paths off at
@@ -14,6 +15,7 @@
 //! identical results on them.
 
 use et_graph::VertexId;
+use std::ops::ControlFlow;
 
 /// Length-ratio threshold above which galloping beats merging.
 ///
@@ -94,22 +96,46 @@ pub fn merge_intersect_count(a: &[VertexId], b: &[VertexId]) -> usize {
 }
 
 /// Linear merge intersection reporting matched *index pairs*: invokes
-/// `f(i, j)` for every `a[i] == b[j]`, in ascending order. This is the
-/// kernel shape the triangle enumerations need — the indices address the
-/// per-arc edge-id arrays that ride alongside adjacency lists.
+/// `f(i, j)` for every `a[i] == b[j]`, in ascending order, until `f` breaks.
+/// This is the kernel shape the triangle enumerations need — the indices
+/// address the per-arc edge-id arrays that ride alongside adjacency lists —
+/// and the only copy of the scalar merge loop: [`merge_matches`] is this
+/// with a callback that never breaks.
 #[inline]
-pub fn merge_matches(a: &[VertexId], b: &[VertexId], mut f: impl FnMut(usize, usize)) {
+pub fn try_merge_matches(
+    a: &[VertexId],
+    b: &[VertexId],
+    mut f: impl FnMut(usize, usize) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                f(i, j);
+                f(i, j)?;
                 i += 1;
                 j += 1;
             }
         }
+    }
+    ControlFlow::Continue(())
+}
+
+/// [`try_merge_matches`] to exhaustion.
+#[inline]
+pub fn merge_matches(a: &[VertexId], b: &[VertexId], f: impl FnMut(usize, usize)) {
+    let _ = try_merge_matches(a, b, unbroken(f));
+}
+
+/// Adapts a plain match callback to the breakable kernels: never breaks.
+#[inline]
+pub(crate) fn unbroken(
+    mut f: impl FnMut(usize, usize),
+) -> impl FnMut(usize, usize) -> ControlFlow<()> {
+    move |i, j| {
+        f(i, j);
+        ControlFlow::Continue(())
     }
 }
 
@@ -160,9 +186,13 @@ pub fn gallop_intersect_count(small: &[VertexId], large: &[VertexId]) -> usize {
 }
 
 /// Galloping intersection reporting matched index pairs `(i_small, j_large)`
-/// in ascending order.
+/// in ascending order, until `f` breaks.
 #[inline]
-pub fn gallop_matches(small: &[VertexId], large: &[VertexId], mut f: impl FnMut(usize, usize)) {
+pub fn try_gallop_matches(
+    small: &[VertexId],
+    large: &[VertexId],
+    mut f: impl FnMut(usize, usize) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     let mut base = 0usize;
     for (i, &x) in small.iter().enumerate() {
         base = gallop_to(large, base, x);
@@ -170,10 +200,17 @@ pub fn gallop_matches(small: &[VertexId], large: &[VertexId], mut f: impl FnMut(
             break;
         }
         if large[base] == x {
-            f(i, base);
+            f(i, base)?;
             base += 1;
         }
     }
+    ControlFlow::Continue(())
+}
+
+/// [`try_gallop_matches`] to exhaustion.
+#[inline]
+pub fn gallop_matches(small: &[VertexId], large: &[VertexId], f: impl FnMut(usize, usize)) {
+    let _ = try_gallop_matches(small, large, unbroken(f));
 }
 
 /// First index `i >= from` with `large[i] >= x` (or `large.len()`), found by
@@ -246,36 +283,45 @@ pub fn intersect_count(a: &[VertexId], b: &[VertexId]) -> usize {
 }
 
 /// Adaptive index-pair intersection: invokes `f(i, j)` for every
-/// `a[i] == b[j]` in ascending order, choosing merge or gallop (and their
-/// SIMD variants) by the length ratio. Unlike [`intersect_into`], the
-/// reported indices always refer to `a` and `b` *as given* — the dispatcher
-/// un-swaps them when galloping from the smaller side.
+/// `a[i] == b[j]` in ascending order until `f` breaks, choosing merge or
+/// gallop (and their SIMD variants) by the length ratio. Unlike
+/// [`intersect_into`], the reported indices always refer to `a` and `b` *as
+/// given* — the dispatcher un-swaps them when galloping from the smaller
+/// side. Whichever kernel runs, the pairs seen before a break are a prefix
+/// of the pairs an unbroken run reports.
 #[inline]
-pub fn intersect_matches(a: &[VertexId], b: &[VertexId], mut f: impl FnMut(usize, usize)) {
+pub fn try_intersect_matches(
+    a: &[VertexId],
+    b: &[VertexId],
+    mut f: impl FnMut(usize, usize) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     let (small_is_a, small, large) = if a.len() <= b.len() {
         (true, a, b)
     } else {
         (false, b, a)
     };
     if small.is_empty() {
-        return;
+        return ControlFlow::Continue(());
     }
     if gallop_wins(small.len(), large.len()) {
         let relay = |i: usize, j: usize| if small_is_a { f(i, j) } else { f(j, i) };
         #[cfg(feature = "simd")]
         if simd_active() {
-            crate::simd::gallop_matches(small, large, relay);
-            return;
+            return crate::simd::try_gallop_matches(small, large, relay);
         }
-        gallop_matches(small, large, relay);
-        return;
+        return try_gallop_matches(small, large, relay);
     }
     #[cfg(feature = "simd")]
     if simd_active() {
-        crate::simd::merge_matches(a, b, f);
-        return;
+        return crate::simd::try_merge_matches(a, b, f);
     }
-    merge_matches(a, b, f);
+    try_merge_matches(a, b, f)
+}
+
+/// [`try_intersect_matches`] to exhaustion.
+#[inline]
+pub fn intersect_matches(a: &[VertexId], b: &[VertexId], f: impl FnMut(usize, usize)) {
+    let _ = try_intersect_matches(a, b, unbroken(f));
 }
 
 #[cfg(test)]

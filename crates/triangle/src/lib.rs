@@ -16,8 +16,8 @@
 //!   triangle enumerated exactly once, no orientation pass),
 //! * [`count`] — global triangle counting (node- and edge-iterator),
 //! * [`enumerate`] — per-edge triangle enumeration used by the SpNode /
-//!   SpEdge kernels, including the trussness-filtered variant that realizes
-//!   k-triangle connectivity (Definition 6).
+//!   SpEdge kernels: breakable, trussness-filtered (k-triangle connectivity,
+//!   Definition 6), and the pivot form that visits every triangle once.
 
 #![warn(missing_docs)]
 
@@ -32,7 +32,10 @@ pub mod support;
 
 pub use count::{count_triangles, count_triangles_per_vertex};
 pub use cover::compute_support_cover;
-pub use enumerate::{for_each_triangle_of_edge, for_each_truss_triangle_of_edge};
+pub use enumerate::{
+    for_each_pivot_triangle_of_edge, for_each_triangle_of_edge, for_each_truss_triangle_of_edge,
+    try_for_each_triangle_of_edge,
+};
 pub use intersect::{set_simd_enabled, simd_active, simd_compiled};
 pub use oriented::{compute_support_oriented, compute_support_with_oriented};
 pub use support::{compute_support, compute_support_serial};

@@ -31,8 +31,10 @@ pub const LANES: usize = 4;
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::LANES;
+    use crate::intersect::unbroken;
     use et_graph::VertexId;
     use std::arch::x86_64::*;
+    use std::ops::ControlFlow;
 
     /// Rotates the low 4 bits of `m` left by `r` (lane-index rotation for a
     /// 4-lane match mask).
@@ -91,10 +93,14 @@ mod x86 {
     }
 
     /// Block-merge intersection reporting matched *index pairs* `(i, j)` with
-    /// `a[i] == b[j]`, in ascending order — the kernel behind the
-    /// edge-id-carrying triangle enumerations.
+    /// `a[i] == b[j]`, in ascending order, until `f` breaks — the kernel
+    /// behind the edge-id-carrying triangle enumerations.
     #[inline]
-    pub fn merge_matches(a: &[VertexId], b: &[VertexId], mut f: impl FnMut(usize, usize)) {
+    pub fn try_merge_matches(
+        a: &[VertexId],
+        b: &[VertexId],
+        mut f: impl FnMut(usize, usize) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         let (mut i, mut j) = (0usize, 0usize);
         // SAFETY: as in `merge_count`.
         unsafe {
@@ -107,7 +113,7 @@ mod x86 {
                 while a_mask != 0 {
                     let ai = a_mask.trailing_zeros() as usize;
                     let bi = b_mask.trailing_zeros() as usize;
-                    f(i + ai, j + bi);
+                    f(i + ai, j + bi)?;
                     a_mask &= a_mask - 1;
                     b_mask &= b_mask - 1;
                 }
@@ -121,7 +127,13 @@ mod x86 {
                 }
             }
         }
-        crate::intersect::merge_matches(&a[i..], &b[j..], |di, dj| f(i + di, j + dj));
+        crate::intersect::try_merge_matches(&a[i..], &b[j..], |di, dj| f(i + di, j + dj))
+    }
+
+    /// [`try_merge_matches`] to exhaustion.
+    #[inline]
+    pub fn merge_matches(a: &[VertexId], b: &[VertexId], f: impl FnMut(usize, usize)) {
+        let _ = try_merge_matches(a, b, unbroken(f));
     }
 
     /// Window width below which the vectorized linear scan replaces the
@@ -201,9 +213,14 @@ mod x86 {
     }
 
     /// Galloping intersection reporting matched index pairs `(i_small,
-    /// j_large)` in ascending order, with the vectorized probe.
+    /// j_large)` in ascending order until `f` breaks, with the vectorized
+    /// probe.
     #[inline]
-    pub fn gallop_matches(small: &[VertexId], large: &[VertexId], mut f: impl FnMut(usize, usize)) {
+    pub fn try_gallop_matches(
+        small: &[VertexId],
+        large: &[VertexId],
+        mut f: impl FnMut(usize, usize) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         let mut base = 0usize;
         for (i, &x) in small.iter().enumerate() {
             base = gallop_to(large, base, x);
@@ -211,20 +228,33 @@ mod x86 {
                 break;
             }
             if large[base] == x {
-                f(i, base);
+                f(i, base)?;
                 base += 1;
             }
         }
+        ControlFlow::Continue(())
+    }
+
+    /// [`try_gallop_matches`] to exhaustion.
+    #[inline]
+    pub fn gallop_matches(small: &[VertexId], large: &[VertexId], f: impl FnMut(usize, usize)) {
+        let _ = try_gallop_matches(small, large, unbroken(f));
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-pub use x86::{gallop_count, gallop_into, gallop_matches, merge_count, merge_into, merge_matches};
+pub use x86::{
+    gallop_count, gallop_into, gallop_matches, merge_count, merge_into, merge_matches,
+    try_gallop_matches, try_merge_matches,
+};
 
 // On non-x86_64 targets `--features simd` still builds: every entry point
 // delegates to its scalar twin.
 #[cfg(not(target_arch = "x86_64"))]
 mod fallback {
+    pub use crate::intersect::{
+        gallop_matches, merge_matches, try_gallop_matches, try_merge_matches,
+    };
     use et_graph::VertexId;
 
     /// Scalar fallback for [`crate::intersect::merge_intersect_count`].
@@ -237,11 +267,6 @@ mod fallback {
         crate::intersect::merge_intersect_into(a, b, out)
     }
 
-    /// Scalar fallback for [`crate::intersect::merge_matches`].
-    pub fn merge_matches(a: &[VertexId], b: &[VertexId], f: impl FnMut(usize, usize)) {
-        crate::intersect::merge_matches(a, b, f)
-    }
-
     /// Scalar fallback for [`crate::intersect::gallop_intersect_count`].
     pub fn gallop_count(small: &[VertexId], large: &[VertexId]) -> usize {
         crate::intersect::gallop_intersect_count(small, large)
@@ -251,16 +276,12 @@ mod fallback {
     pub fn gallop_into(small: &[VertexId], large: &[VertexId], out: &mut Vec<VertexId>) {
         crate::intersect::gallop_intersect_into(small, large, out)
     }
-
-    /// Scalar fallback for [`crate::intersect::gallop_matches`].
-    pub fn gallop_matches(small: &[VertexId], large: &[VertexId], f: impl FnMut(usize, usize)) {
-        crate::intersect::gallop_matches(small, large, f)
-    }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
 pub use fallback::{
     gallop_count, gallop_into, gallop_matches, merge_count, merge_into, merge_matches,
+    try_gallop_matches, try_merge_matches,
 };
 
 /// Convenience wrapper mirroring [`crate::intersect::intersect_count`] but

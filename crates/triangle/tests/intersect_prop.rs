@@ -2,16 +2,19 @@
 //! scalar merge, scalar gallop, binary probe, the SIMD block merge and the
 //! vectorized galloping probe (when compiled), and the adaptive dispatchers
 //! under both runtime-toggle positions — agrees on randomized strictly
-//! increasing sets, with deliberate stress on tail lengths around the SIMD
-//! lane width and `u32::MAX` boundary values.
+//! increasing sets, and every breakable index-pair kernel stops on an exact
+//! prefix of its unbroken sequence, with deliberate stress on tail lengths
+//! around the SIMD lane width and `u32::MAX` boundary values.
 
 use et_triangle::intersect::{
     binary_intersect_into, gallop_intersect_count, gallop_intersect_into, gallop_matches,
     intersect_count, intersect_into, intersect_matches, merge_intersect_count,
-    merge_intersect_into, merge_matches, set_simd_enabled,
+    merge_intersect_into, merge_matches, set_simd_enabled, try_gallop_matches,
+    try_intersect_matches, try_merge_matches,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::ControlFlow;
 
 type V = u32;
 
@@ -21,6 +24,32 @@ fn oracle(a: &[V], b: &[V]) -> Vec<V> {
     let mut out = Vec::new();
     binary_intersect_into(small, large, &mut out);
     out
+}
+
+/// Runs a breakable kernel with a callback that breaks at the 1st, 2nd,
+/// middle and last pair of `full` (what the unbroken kernel reported): each
+/// time exactly that prefix must have been visited, and nothing after it.
+fn assert_breaks_visit_prefixes(
+    full: &[(usize, usize)],
+    kernel: impl Fn(&mut dyn FnMut(usize, usize) -> ControlFlow<()>) -> ControlFlow<()>,
+    what: &str,
+) {
+    for stop in [1, 2, full.len() / 2, full.len()] {
+        if stop == 0 || stop > full.len() {
+            continue;
+        }
+        let mut seen = Vec::new();
+        let flow = kernel(&mut |i, j| {
+            seen.push((i, j));
+            if seen.len() == stop {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert!(flow.is_break(), "{what}: stop {stop} of {}", full.len());
+        assert_eq!(seen, full[..stop], "{what}: stop {stop} of {}", full.len());
+    }
 }
 
 /// Asserts every kernel and both dispatcher toggle positions agree with the
@@ -49,6 +78,7 @@ fn assert_all_agree(a: &[V], b: &[V]) {
     merge_matches(a, b, |i, j| pairs.push((i, j)));
     assert!(pairs.iter().all(|&(i, j)| a[i] == b[j]), "{}", ctx());
     assert_eq!(pairs.len(), expected.len(), "merge_matches {}", ctx());
+    assert_breaks_visit_prefixes(&pairs, |f| try_merge_matches(a, b, f), "merge");
     pairs.clear();
     gallop_matches(small, large, |i, j| pairs.push((i, j)));
     assert!(
@@ -57,6 +87,7 @@ fn assert_all_agree(a: &[V], b: &[V]) {
         ctx()
     );
     assert_eq!(pairs.len(), expected.len(), "gallop_matches {}", ctx());
+    assert_breaks_visit_prefixes(&pairs, |f| try_gallop_matches(small, large, f), "gallop");
 
     #[cfg(feature = "simd")]
     {
@@ -69,6 +100,7 @@ fn assert_all_agree(a: &[V], b: &[V]) {
         simd::merge_matches(a, b, |i, j| pairs.push((i, j)));
         assert!(pairs.iter().all(|&(i, j)| a[i] == b[j]), "{}", ctx());
         assert_eq!(pairs.len(), expected.len(), "simd merge_matches {}", ctx());
+        assert_breaks_visit_prefixes(&pairs, |f| simd::try_merge_matches(a, b, f), "simd merge");
 
         assert_eq!(
             simd::gallop_count(small, large),
@@ -87,6 +119,11 @@ fn assert_all_agree(a: &[V], b: &[V]) {
             ctx()
         );
         assert_eq!(pairs.len(), expected.len(), "simd gallop_matches {}", ctx());
+        assert_breaks_visit_prefixes(
+            &pairs,
+            |f| simd::try_gallop_matches(small, large, f),
+            "simd gallop",
+        );
     }
 
     // Adaptive dispatchers under both toggle positions (the toggle is a
@@ -105,6 +142,7 @@ fn assert_all_agree(a: &[V], b: &[V]) {
             pairs.windows(2).all(|w| w[0] < w[1]),
             "matches out of order (simd={simd_on})"
         );
+        assert_breaks_visit_prefixes(&pairs, |f| try_intersect_matches(a, b, f), "adaptive");
     }
     set_simd_enabled(true);
 }

@@ -3,7 +3,8 @@
 //! depends on it).
 
 use parallel_equitruss::equitruss::{
-    build_index, build_index_with_options, Schedule, SupportKernel, Variant,
+    build_index, build_index_with_decomposition_scheduled, build_index_with_options,
+    build_original, KernelTimings, Schedule, SuperGraph, SupportKernel, Variant,
 };
 use parallel_equitruss::gen;
 use parallel_equitruss::graph::EdgeIndexedGraph;
@@ -82,6 +83,49 @@ fn schedules_are_thread_invariant_and_equivalent() {
                     "variant {} schedule {} threads {threads}",
                     variant.name(),
                     schedule.name()
+                );
+            }
+        }
+    }
+}
+
+/// The file is the contract: every variant under both schedules at 1, 4 and
+/// 8 threads writes, byte for byte, the `.etidx` the serial Original writes.
+#[test]
+fn etidx_bytes_equal_original_for_every_variant_schedule_and_thread_count() {
+    // Skewed and clique-rich: dozens of superedges between many Φ_k groups.
+    let g = EdgeIndexedGraph::new(gen::rmat_with_cliques(
+        gen::RmatConfig::graph500(10, 8, 13),
+        80,
+        (4, 8),
+    ));
+    let tau = parallel_equitruss::truss::decompose_parallel(&g);
+    let dir = std::env::temp_dir().join("pe-determinism");
+    std::fs::create_dir_all(&dir).unwrap();
+    let etidx_bytes = |index: &SuperGraph, name: &str| {
+        let path = dir.join(format!("{name}.etidx"));
+        parallel_equitruss::equitruss::io::write_index(index, &tau.trussness, &path).unwrap();
+        std::fs::read(&path).unwrap()
+    };
+    let original = build_original(&g, &tau.trussness);
+    assert!(original.num_superedges() > 0);
+    let reference = etidx_bytes(&original, "original");
+    for variant in Variant::ALL {
+        for schedule in Schedule::ALL {
+            for threads in [1usize, 4, 8] {
+                let index = in_pool(threads, || {
+                    build_index_with_decomposition_scheduled(
+                        &g,
+                        &tau,
+                        variant,
+                        schedule,
+                        &mut KernelTimings::default(),
+                    )
+                });
+                let name = format!("{}-{}-{threads}", variant.name(), schedule.name());
+                assert!(
+                    etidx_bytes(&index, &name) == reference,
+                    "{name}: .etidx differs from Original's"
                 );
             }
         }
