@@ -25,8 +25,7 @@ fn bench_support(c: &mut Criterion) {
     group.finish();
 }
 
-/// Merge (triangle visited 3×) vs. oriented (triangle visited once) vs.
-/// cover-edge (triangle claimed once from its BFS-level cover) Support
+/// Merge (triangle visited 3×) vs. oriented (triangle visited once) Support
 /// kernels. The R-MAT instance has ≥ 2^18 edges; the overlapping-clique
 /// instance mimics DBLP-style collaboration structure.
 fn bench_support_kernels(c: &mut Criterion) {
@@ -54,9 +53,6 @@ fn bench_support_kernels(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("oriented", name), graph, |b, g| {
             b.iter(|| black_box(et_triangle::compute_support_oriented(g)));
-        });
-        group.bench_with_input(BenchmarkId::new("cover", name), graph, |b, g| {
-            b.iter(|| black_box(et_triangle::compute_support_cover(g)));
         });
         // Steady-state cost with the DAG view amortized across runs.
         let view = OrientedGraph::build(graph);

@@ -1,7 +1,6 @@
 //! K-truss decomposition benchmarks: serial bucket peeling vs parallel
-//! level-synchronous peeling (DESIGN.md ablation #5), plus scan-seeded vs
-//! bucket-seeded parallel peeling on R-MAT and overlapping-clique
-//! generators.
+//! level-synchronous peeling (DESIGN.md ablation #5), plus the peel alone
+//! (support precomputed) on R-MAT and overlapping-clique generators.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use et_graph::EdgeIndexedGraph;
@@ -22,12 +21,10 @@ fn bench_truss(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-level full-scan frontier seeding (the PKT textbook loop) vs. the
-/// lazy bucket-queue seeding with the packed per-edge state word. The
-/// support vector is precomputed; its clone cost is identical in both arms.
-/// The dense-clique instance (cliques up to 120 vertices, DBLP's
-/// 119-author-paper tail) pushes max trussness past 100 — the regime where
-/// scan seeding's O(m · k_max) rescans dominate.
+/// The bucket-seeded peel with the support vector precomputed (its clone is
+/// part of every iteration). The dense-clique instance (cliques up to 120
+/// vertices, DBLP's 119-author-paper tail) pushes max trussness past 100 —
+/// the many-levels regime; R-MAT is the few-levels, skewed-frontier one.
 fn bench_peeling(c: &mut Criterion) {
     let inputs: Vec<(&str, EdgeIndexedGraph)> = vec![
         (
@@ -49,14 +46,6 @@ fn bench_peeling(c: &mut Criterion) {
     group.sample_size(10);
     for (name, graph) in &inputs {
         let support = et_triangle::compute_support_oriented(graph);
-        group.bench_with_input(BenchmarkId::new("scan", name), graph, |b, g| {
-            b.iter(|| {
-                black_box(et_truss::parallel::decompose_parallel_scan_with_support(
-                    g,
-                    support.clone(),
-                ))
-            });
-        });
         group.bench_with_input(BenchmarkId::new("bucket", name), graph, |b, g| {
             b.iter(|| {
                 black_box(et_truss::parallel::decompose_parallel_with_support(

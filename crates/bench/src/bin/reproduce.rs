@@ -25,17 +25,13 @@ const ALL_EXPERIMENTS: [&str; 12] = [
 
 fn usage() -> ! {
     eprintln!(
-        "usage: reproduce [--scale F] [--threads 1,2,4] [--out DIR] [--mmap] [--numa] [--trace-out FILE] \
+        "usage: reproduce [--scale F] [--threads 1,2,4] [--out DIR] [--mmap] [--trace-out FILE] \
          <experiment>...\n\
          experiments: {} all\n\
          --mmap            memory-map cached dataset binaries instead of decoding them\n\
          \u{20}                  onto the heap (same as ET_MMAP=1; the flag wins on conflict)\n\
-         --numa            NUMA-aware placement: pin workers to nodes, shard work\n\
-         \u{20}                  (same as ET_NUMA=1; the flag wins on conflict)\n\
          --trace-out FILE  record spans + counters across all experiments and write\n\
          \u{20}                  chrome://tracing JSON to FILE (also enabled by ET_TRACE=1)\n\
-         --steal/--no-steal  force the work-stealing scheduler on or off\n\
-         ET_STEAL=0        same as --no-steal, via the environment (default on)\n\
          ET_MEM=1          attribute allocation deltas + peaks to pipeline phases",
         ALL_EXPERIMENTS.join(" ")
     );
@@ -49,8 +45,6 @@ fn main() -> ExitCode {
     let mut trace_out: Option<PathBuf> = None;
     let mut wanted: Vec<String> = Vec::new();
     let mut cli_mmap: Option<bool> = None;
-    let mut cli_numa: Option<bool> = None;
-    let mut cli_steal: Option<bool> = None;
 
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -79,9 +73,6 @@ fn main() -> ExitCode {
                 trace_out = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())));
             }
             "--mmap" => cli_mmap = Some(true),
-            "--numa" => cli_numa = Some(true),
-            "--steal" => cli_steal = Some(true),
-            "--no-steal" => cli_steal = Some(false),
             "--help" | "-h" => usage(),
             other if other.starts_with('-') => usage(),
             exp => wanted.push(exp.to_string()),
@@ -111,13 +102,6 @@ fn main() -> ExitCode {
     // warning resolution, never silently behind the user's back.
     if et_cli::resolve_toggle("mmap", cli_mmap, "ET_MMAP") {
         std::env::set_var("ET_MMAP", "1");
-    }
-    et_graph::numa::set_numa_enabled(et_cli::resolve_toggle("numa", cli_numa, "ET_NUMA"));
-    et_graph::steal::set_stealing_enabled(et_cli::resolve_toggle_with_default(
-        "steal", cli_steal, "ET_STEAL", true,
-    ));
-    if et_graph::numa::numa_enabled() {
-        et_graph::numa::pin_rayon_workers();
     }
     // Spans and counters are reset per experiment so each report carries
     // only its own metrics; the trace file accumulates everything (the

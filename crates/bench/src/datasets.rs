@@ -6,13 +6,8 @@
 //! Cache keys embed [`DATASET_SUITE`], so bumping the suite version (after
 //! any generator or parameter change) invalidates every stale entry at once
 //! instead of silently reusing graphs from an older suite.
-//!
-//! Beyond the paper's scaled-down profiles, [`LARGE_PROFILES`] registers
-//! s20+ R-MAT graphs whose edge factors match SNAP degree profiles
-//! (LiveJournal ≈ 17 neighbors/vertex, Orkut ≈ 76) — the inputs of the CI
-//! large-graph job and the `bench_smoke --large` rows.
 
-use et_graph::{io, Backend, CsrGraph, EdgeIndexedGraph};
+use et_graph::{io, Backend, EdgeIndexedGraph};
 use std::path::PathBuf;
 
 /// Version tag of the generated dataset suite, embedded in every cache key.
@@ -59,89 +54,6 @@ pub fn dataset(name: &str, scale: f64) -> EdgeIndexedGraph {
         }
     }
     EdgeIndexedGraph::new(g)
-}
-
-/// A large-graph registry entry: plain R-MAT (Graph500 quadrant weights) at
-/// an edge factor matching a SNAP dataset's average degree.
-#[derive(Clone, Copy, Debug)]
-pub struct LargeProfile {
-    /// Registry name (also the cache-key stem and bench row label).
-    pub name: &'static str,
-    /// Which SNAP network's degree profile the edge factor mimics.
-    pub snap_analog: &'static str,
-    /// log2 of the number of vertices.
-    pub scale: u32,
-    /// Undirected edges per vertex (SNAP avg degree / 2, rounded).
-    pub edge_factor: usize,
-    /// Generator seed.
-    pub seed: u64,
-}
-
-/// The s20+ large-graph suite: one LiveJournal-profile entry (the CI
-/// large-graph job input) and one denser Orkut-profile entry.
-pub const LARGE_PROFILES: [LargeProfile; 2] = [
-    LargeProfile {
-        name: "rmat-lj-s20",
-        snap_analog: "LiveJournal (avg degree ~17)",
-        scale: 20,
-        edge_factor: 9,
-        seed: 0x17,
-    },
-    LargeProfile {
-        name: "rmat-orkut-s20",
-        snap_analog: "Orkut (avg degree ~76)",
-        scale: 20,
-        edge_factor: 38,
-        seed: 0x0C,
-    },
-];
-
-/// Looks up a large profile by name.
-pub fn large_profile(name: &str) -> Option<&'static LargeProfile> {
-    LARGE_PROFILES.iter().find(|p| p.name == name)
-}
-
-impl LargeProfile {
-    /// Generates the graph at the registered scale.
-    pub fn generate(&self) -> CsrGraph {
-        self.generate_at(self.scale)
-    }
-
-    /// Generates the same degree profile at a different scale (tests use a
-    /// small one; the benches use [`LargeProfile::scale`]).
-    pub fn generate_at(&self, scale: u32) -> CsrGraph {
-        et_gen::rmat(et_gen::RmatConfig::graph500(
-            scale,
-            self.edge_factor,
-            self.seed,
-        ))
-    }
-}
-
-/// Ensures the named large profile is generated and cached as a `.bin`,
-/// returning the cache path. Callers choose how to load it — owned, or
-/// memory-mapped for the zero-copy ingest rows.
-///
-/// # Panics
-/// Panics on unknown names or when the cache directory is unwritable (the
-/// large suite is only used from the benches, where that is fatal anyway).
-pub fn large_dataset_path(name: &str) -> PathBuf {
-    let profile =
-        large_profile(name).unwrap_or_else(|| panic!("unknown large dataset profile {name:?}"));
-    let dir = cache_dir();
-    let path = dir.join(format!("{DATASET_SUITE}-{name}.bin"));
-    // O(1) freshness check: the header cross-validates both array lengths
-    // against the real file size, so truncation never survives the cache.
-    if io::read_binary_header(&path).is_ok() {
-        return path;
-    }
-    if path.exists() {
-        let _ = std::fs::remove_file(&path);
-    }
-    let g = profile.generate();
-    std::fs::create_dir_all(&dir).expect("dataset cache dir");
-    io::write_binary(&g, &path).expect("write large dataset cache");
-    path
 }
 
 /// The four networks of the Fig. 2 / Fig. 4 / Table 4 experiments, in the
@@ -198,38 +110,6 @@ mod tests {
         assert_eq!(fresh.graph(), reloaded.graph());
         // And the cache was healed (full-size file again).
         assert_eq!(std::fs::read(&path).unwrap().len(), bytes.len());
-        std::env::remove_var("ET_DATASET_DIR");
-    }
-
-    #[test]
-    fn large_registry_resolves_and_generates_scaled_down() {
-        // Generate the LiveJournal degree profile at a tiny scale: the edge
-        // factor (not the full s20 size) is what the registry pins down.
-        let p = large_profile("rmat-lj-s20").expect("registered");
-        assert_eq!(p.scale, 20);
-        let g = p.generate_at(10);
-        assert_eq!(g.num_vertices(), 1 << 10);
-        assert!(g.num_edges() > 0);
-        assert!(g.validate().is_ok());
-        assert!(large_profile("rmat-orkut-s20").is_some());
-        assert!(large_profile("rmat-lj-s99").is_none());
-    }
-
-    #[test]
-    fn large_dataset_path_caches_under_suite_key() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let dir = std::env::temp_dir().join("et-datasets-large-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::env::set_var("ET_DATASET_DIR", &dir);
-        // Swap in a tiny profile clone so the test never generates s20:
-        // exercise the cache machinery through the real entry point by
-        // pre-seeding the cache file the path function would create.
-        let p = large_profile("rmat-lj-s20").unwrap();
-        let path = dir.join(format!("{DATASET_SUITE}-{}.bin", p.name));
-        std::fs::create_dir_all(&dir).unwrap();
-        io::write_binary(&p.generate_at(8), &path).unwrap();
-        assert_eq!(large_dataset_path("rmat-lj-s20"), path);
-        assert!(io::read_binary(&path).is_ok());
         std::env::remove_var("ET_DATASET_DIR");
     }
 }

@@ -23,7 +23,6 @@
 
 pub mod datasets;
 pub mod experiments;
-pub mod gate;
 pub mod report;
 pub mod threads;
 

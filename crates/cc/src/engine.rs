@@ -139,8 +139,8 @@ fn shortcut(parent: &[AtomicU32], e: u32) -> u64 {
     steps
 }
 
-/// Knobs of the Afforest driver (mirrors [`crate::AfforestConfig`], but the
-/// seed is already group-specific — callers fold the trussness level in).
+/// Knobs of the Afforest driver (the seed is group-specific — callers fold
+/// the trussness level in).
 #[derive(Clone, Copy, Debug)]
 pub struct AfforestPolicy {
     /// Triangle-partner rounds linked eagerly (Afforest's `r`).

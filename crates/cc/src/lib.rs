@@ -1,44 +1,28 @@
-//! # et-cc — parallel connected components
+//! # et-cc — parallel connected components over edge entities
 //!
 //! The paper's key observation is that EquiTruss supernode construction *is*
-//! a connected-components problem over edge entities. This crate provides the
-//! CC algorithms it builds on, generic over an [`Adjacency`] abstraction so
-//! the same code runs on ordinary vertex graphs (benchmarked directly in
-//! `benches/cc.rs`) while the edge-induced variants in `et-core` specialize
-//! the inner loops:
+//! a connected-components problem over edge entities. This crate provides
+//! what the edge-CC variants in `et-core` build on:
 //!
-//! * [`shiloach_vishkin`] — the classic CRCW hook/shortcut algorithm
-//!   (reference [39]); the paper's *Baseline*.
-//! * [`afforest`] — subgraph-sampling CC (Sutton, Ben-Nun & Barak, IPDPS
-//!   2018; reference [43]); the paper's best performer.
-//! * [`label_propagation`] and [`bfs_cc`] — the alternatives §3.1 considers
-//!   and rejects (diameter-dependent / limited parallelism), kept for the
-//!   comparison benches.
 //! * [`dsu`] — sequential and atomic (lock-free) union-find.
-//! * [`engine`] — the shared **edge-CC engine**: SV and Afforest drivers
-//!   over a [`engine::TriangleAdjacency`] view of "k-triangle neighbors of
-//!   edge e"; `et-core`'s three paper variants and `et-dynamic`'s rebuild
-//!   path are policies over it.
+//! * [`engine`] — the shared **edge-CC engine**: Shiloach–Vishkin (reference
+//!   [39], the paper's *Baseline* and *C-Optimal*) and Afforest (Sutton,
+//!   Ben-Nun & Barak, IPDPS 2018; reference [43], the paper's best
+//!   performer) drivers over a [`engine::TriangleAdjacency`] view of
+//!   "k-triangle neighbors of edge e"; `et-core`'s three paper variants and
+//!   `et-dynamic`'s rebuild path are policies over it.
+//! * [`normalize_labels`] / [`same_partition`] — partition comparison for
+//!   the tests that pin the variants against each other.
 
 #![warn(missing_docs)]
 
-pub mod adjacency;
-pub mod afforest;
-pub mod bfs;
 pub mod dsu;
 pub mod engine;
-pub mod label_prop;
-pub mod shiloach_vishkin;
 
-pub use adjacency::Adjacency;
-pub use afforest::{afforest, AfforestConfig};
-pub use bfs::bfs_cc;
 pub use dsu::{atomic_find, atomic_find_steps, atomic_link, AtomicDsu, DisjointSet};
 pub use engine::{
     afforest_edge_components, sv_edge_components, AfforestPolicy, SvPolicy, TriangleAdjacency,
 };
-pub use label_prop::label_propagation;
-pub use shiloach_vishkin::shiloach_vishkin;
 
 pub(crate) use et_obs::enabled as obs_enabled;
 

@@ -1,9 +1,8 @@
 //! `equitruss` — build, persist, inspect, and query EquiTruss indexes.
 
 use et_cli::{
-    cmd_build, cmd_generate, cmd_info, cmd_query, cmd_query_batch, cmd_stats, parse_engine,
-    parse_support_kernel, parse_variant, resolve_support_kernel, resolve_toggle,
-    resolve_toggle_with_default,
+    cmd_build, cmd_generate, cmd_info, cmd_query, cmd_query_batch, cmd_stats, parse_variant,
+    resolve_toggle, resolve_toggle_with_default,
 };
 use et_graph::Backend;
 use std::path::PathBuf;
@@ -12,13 +11,12 @@ use std::process::ExitCode;
 fn usage() -> ! {
     eprintln!(
         "usage:\n  \
-         equitruss generate <profile> [--scale F] -o <graph.{{txt|bin|binz}}>\n  \
+         equitruss generate <profile> [--scale F] -o <graph.{{txt|bin}}>\n  \
          equitruss stats <graph>\n  \
-         equitruss info <file.{{bin|binz|etidx}}>\n  \
+         equitruss info <file.{{bin|etidx}}>\n  \
          equitruss build <graph> -o <index.etidx> [--variant baseline|coptimal|afforest]\n  \
-         \x20               [--support-kernel oriented|merge|cover-edge|auto]\n  \
-         equitruss query <graph> <index.etidx> -v <vertex> -k <level> [--engine hierarchy|bfs]\n  \
-         equitruss query <graph> <index.etidx> --batch <file> [--engine hierarchy|bfs]\n  \
+         equitruss query <graph> <index.etidx> -v <vertex> -k <level>\n  \
+         equitruss query <graph> <index.etidx> --batch <file>\n  \
          equitruss serve <graph> <index.etidx> [--addr HOST:PORT] [--workers N]\n  \
          \x20               [--cache|--no-cache] [--cache-size N]\n\n\
          serve: HTTP/JSON query service (/query /edge /batch /stats /healthz /reload);\n  \
@@ -27,11 +25,6 @@ fn usage() -> ! {
          options (any command):\n  \
          --mmap                     memory-map .bin graphs and .etidx indexes (zero-copy)\n  \
          ET_MMAP=1                  same as --mmap, via the environment\n  \
-         --numa                     NUMA-aware placement: pin workers to nodes, shard work\n  \
-         ET_NUMA=1                  same as --numa, via the environment\n  \
-         --steal / --no-steal       force the work-stealing scheduler on or off (default on)\n  \
-         ET_STEAL=0                 same as --no-steal, via the environment\n  \
-         ET_SUPPORT_KERNEL=<name>   default Support kernel (CLI flag wins, with a warning)\n  \
          --trace-out <trace.json>   record spans + counters, write chrome://tracing JSON\n  \
          ET_TRACE=1                 enable tracing without writing a file\n  \
          ET_MEM=1                   attribute allocation deltas + peaks to pipeline phases\n\n\
@@ -41,7 +34,17 @@ fn usage() -> ! {
 }
 
 /// Flags that take no value (presence alone means \"on\").
-const BOOLEAN_FLAGS: &[&str] = &["mmap", "numa", "steal", "no-steal", "cache", "no-cache"];
+const BOOLEAN_FLAGS: &[&str] = &["mmap", "cache", "no-cache"];
+/// Flags that take the next token as their value.
+const VALUE_FLAGS: &[&str] = &[
+    "scale",
+    "variant",
+    "batch",
+    "addr",
+    "workers",
+    "cache-size",
+    "trace-out",
+];
 
 struct Args {
     positional: Vec<String>,
@@ -57,6 +60,11 @@ fn parse_args(raw: Vec<String>) -> Args {
             if BOOLEAN_FLAGS.contains(&name) {
                 flags.insert(name.to_string(), "1".to_string());
                 continue;
+            }
+            // An unknown flag must not swallow the next token as its value.
+            if !VALUE_FLAGS.contains(&name) {
+                eprintln!("unknown option --{name}\n");
+                usage();
             }
             let value = it.next().unwrap_or_else(|| usage());
             flags.insert(name.to_string(), value);
@@ -91,23 +99,6 @@ fn main() -> ExitCode {
     } else {
         Backend::Owned
     };
-    let cli_numa = args.flags.contains_key("numa").then_some(true);
-    et_graph::numa::set_numa_enabled(resolve_toggle("numa", cli_numa, "ET_NUMA"));
-    // Stealing is a default-on toggle (ET_STEAL=0 opts out), resolved by the
-    // same CLI-wins-with-warning rules as every other toggle.
-    let cli_steal = if args.flags.contains_key("steal") {
-        Some(true)
-    } else if args.flags.contains_key("no-steal") {
-        Some(false)
-    } else {
-        None
-    };
-    et_graph::steal::set_stealing_enabled(resolve_toggle_with_default(
-        "steal", cli_steal, "ET_STEAL", true,
-    ));
-    if et_graph::numa::numa_enabled() {
-        et_graph::numa::pin_rayon_workers();
-    }
 
     let result = match args.positional[0].as_str() {
         "generate" => {
@@ -137,22 +128,11 @@ fn main() -> ExitCode {
                 },
                 None => et_core::Variant::Afforest,
             };
-            let cli_kernel = match get_flag("support-kernel") {
-                Some(k) => match parse_support_kernel(&k) {
-                    Ok(k) => Some(k),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => None,
-            };
-            let kernel = resolve_support_kernel(cli_kernel);
             cmd_build(
                 &PathBuf::from(graph),
                 &PathBuf::from(require_flag("o")),
                 variant,
-                kernel,
+                et_core::SupportKernel::default(),
                 backend,
             )
         }
@@ -213,35 +193,17 @@ fn main() -> ExitCode {
         "query" => {
             let graph = args.positional.get(1).unwrap_or_else(|| usage()).clone();
             let index = args.positional.get(2).unwrap_or_else(|| usage()).clone();
-            let engine = match get_flag("engine") {
-                Some(e) => match parse_engine(&e) {
-                    Ok(e) => e,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => et_cli::QueryEngine::Hierarchy,
-            };
             if let Some(batch) = get_flag("batch") {
                 cmd_query_batch(
                     &PathBuf::from(graph),
                     &PathBuf::from(index),
                     &PathBuf::from(batch),
-                    engine,
                     backend,
                 )
             } else {
                 let v: u32 = require_flag("v").parse().unwrap_or_else(|_| usage());
                 let k: u32 = require_flag("k").parse().unwrap_or_else(|_| usage());
-                cmd_query(
-                    &PathBuf::from(graph),
-                    &PathBuf::from(index),
-                    v,
-                    k,
-                    engine,
-                    backend,
-                )
+                cmd_query(&PathBuf::from(graph), &PathBuf::from(index), v, k, backend)
             }
         }
         _ => usage(),

@@ -22,10 +22,10 @@ use std::path::Path;
 /// CLI-level errors (message already user-formatted).
 pub type CliResult = Result<String, String>;
 
-/// Loads a graph from a text edge list (`.txt`), binary (`.bin`), or
-/// compressed binary (`.binz`) file on the owned backend.
+/// Loads a graph from a text edge list (`.txt`) or binary (`.bin`) file on
+/// the owned backend.
 ///
-/// All paths go through `et_graph`'s parallel validated ingest pipeline:
+/// Both paths go through `et_graph`'s parallel validated ingest pipeline:
 /// text files are chunk-parsed across the rayon pool (malformed lines keep
 /// exact line numbers), and binary headers are validated against the actual
 /// file size before anything is allocated.
@@ -35,7 +35,7 @@ pub fn load_graph(path: &Path) -> Result<EdgeIndexedGraph, String> {
 
 /// [`load_graph`] with an explicit storage backend. Under
 /// [`Backend::Mapped`], `.bin` CSR arrays become zero-copy views of the
-/// memory-mapped file; text and `.binz` inputs always decode to owned.
+/// memory-mapped file; text inputs always decode to owned.
 pub fn load_graph_with(path: &Path, backend: Backend) -> Result<EdgeIndexedGraph, String> {
     let g = graph_io::read_graph_with(path, backend)
         .map_err(|e| format!("cannot load {}: {e}", path.display()))?;
@@ -54,37 +54,21 @@ pub fn parse_variant(name: &str) -> Result<Variant, String> {
     }
 }
 
-/// Parses a Support kernel name (`oriented` / `merge` / `cover-edge` /
-/// `auto`).
-pub fn parse_support_kernel(name: &str) -> Result<SupportKernel, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "oriented" => Ok(SupportKernel::Oriented),
-        "merge" => Ok(SupportKernel::Merge),
-        "cover-edge" | "cover" | "ce" => Ok(SupportKernel::CoverEdge),
-        "auto" => Ok(SupportKernel::Auto),
-        other => Err(format!(
-            "unknown support kernel {other:?} (expected oriented | merge | cover-edge | auto)"
-        )),
-    }
-}
-
 /// Resolves a boolean runtime toggle from a CLI flag and its environment
 /// variable. The CLI flag wins; when both are present and disagree, a
 /// warning is printed to stderr naming both settings — env vars must never
 /// silently override an explicit flag (or vice versa). Defaults to off when
-/// neither is set; default-on toggles (e.g. `ET_STEAL=0` disables an
-/// otherwise-on scheduler) go through
-/// [`resolve_toggle_with_default`].
+/// neither is set; default-on toggles (`ET_SERVE_CACHE=0` disables the
+/// otherwise-on response cache) go through [`resolve_toggle_with_default`].
 pub fn resolve_toggle(flag_name: &str, cli: Option<bool>, env_var: &str) -> bool {
     resolve_toggle_with_default(flag_name, cli, env_var, false)
 }
 
 /// [`resolve_toggle`] with an explicit default, covering both polarities:
-/// default-off opt-ins (`ET_MMAP=1`) and default-on opt-outs (`ET_STEAL=0`).
-/// Env values are parsed strictly — `1`/`true` enables, `0`/`false`
-/// disables, and anything else is warned about and ignored (previously a
-/// typo like `ET_STEAL=off` silently read as *enabled* for default-on
-/// toggles and *disabled* for default-off ones).
+/// default-off opt-ins (`ET_MMAP=1`) and default-on opt-outs
+/// (`ET_SERVE_CACHE=0`). Env values are parsed strictly — `1`/`true` enables,
+/// `0`/`false` disables, and anything else is warned about and ignored (a
+/// typo like `ET_SERVE_CACHE=off` must not silently read as *enabled*).
 pub fn resolve_toggle_with_default(
     flag_name: &str,
     cli: Option<bool>,
@@ -121,40 +105,6 @@ pub fn resolve_toggle_with_default(
     }
 }
 
-/// Resolves the Support kernel from an optional CLI value and the
-/// `ET_SUPPORT_KERNEL` environment variable. The CLI value wins; a
-/// conflicting env setting produces a stderr warning instead of being
-/// silently ignored. An unparsable env value is reported and skipped (env
-/// typos must not abort a run the CLI fully specifies).
-pub fn resolve_support_kernel(cli: Option<SupportKernel>) -> SupportKernel {
-    let env =
-        std::env::var("ET_SUPPORT_KERNEL")
-            .ok()
-            .and_then(|v| match parse_support_kernel(&v) {
-                Ok(k) => Some(k),
-                Err(e) => {
-                    eprintln!("warning: ignoring ET_SUPPORT_KERNEL: {e}");
-                    None
-                }
-            });
-    match (cli, env) {
-        (Some(c), Some(e)) => {
-            if c != e {
-                eprintln!(
-                    "warning: --support-kernel {} conflicts with ET_SUPPORT_KERNEL={} in the \
-                     environment; the command-line flag wins",
-                    c.name(),
-                    e.name()
-                );
-            }
-            c
-        }
-        (Some(c), None) => c,
-        (None, Some(e)) => e,
-        (None, None) => SupportKernel::default(),
-    }
-}
-
 /// `generate <profile> [--scale F] -o <file>`: writes a synthetic dataset.
 pub fn cmd_generate(profile: &str, scale: f64, out: &Path) -> CliResult {
     let p = et_gen::profile_by_name(profile).ok_or_else(|| {
@@ -166,11 +116,16 @@ pub fn cmd_generate(profile: &str, scale: f64, out: &Path) -> CliResult {
     if scale <= 0.0 {
         return Err("--scale must be positive".into());
     }
+    if out.extension().is_some_and(|e| e == "binz") {
+        return Err(format!(
+            "cannot write {}: the compressed .binz graph format is no longer supported; \
+             write .bin",
+            out.display()
+        ));
+    }
     let g = p.generate(scale);
     let result = if out.extension().is_some_and(|e| e == "bin") {
         graph_io::write_binary(&g, out)
-    } else if out.extension().is_some_and(|e| e == "binz") {
-        et_graph::varint::write_binary_compressed(&g, out)
     } else {
         graph_io::write_text_edge_list(&g, out)
     };
@@ -223,7 +178,7 @@ pub fn cmd_stats(graph_path: &Path, backend: Backend) -> CliResult {
 }
 
 /// `info <file>`: prints header metadata and structural stats of a binary
-/// graph (`.bin`), compressed graph (`.binz`), or index (`.etidx`) file.
+/// graph (`.bin`) or index (`.etidx`) file.
 ///
 /// Only the header / length fields are read and validated — no array is
 /// ever loaded, so this is O(1) in the graph size (and safe to point at
@@ -248,23 +203,6 @@ pub fn cmd_info(path: &Path) -> CliResult {
                 h.num_arcs as f64 / (h.num_vertices.max(1)) as f64
             );
         }
-        "binz" => {
-            let h = et_graph::varint::read_compressed_header(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let fixed = 24 + (h.num_vertices + 1) * 8 + h.num_arcs * 4;
-            let _ = writeln!(out, "file      : {} ({} bytes)", path.display(), h.file_len);
-            let _ = writeln!(
-                out,
-                "format    : ETCSZv01 delta/varint-compressed CSR graph (decode-on-load)"
-            );
-            let _ = writeln!(out, "vertices  : {}", h.num_vertices);
-            let _ = writeln!(out, "edges     : {} ({} arcs)", h.num_edges(), h.num_arcs);
-            let _ = writeln!(
-                out,
-                "ratio     : {:.3} of the fixed-width .bin layout ({fixed} bytes)",
-                h.file_len as f64 / fixed as f64
-            );
-        }
         "etidx" => {
             let info = index_io::read_index_info(path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -276,13 +214,7 @@ pub fn cmd_info(path: &Path) -> CliResult {
             );
             let _ = writeln!(
                 out,
-                "format    : ETIDXv{:02} EquiTruss index{}",
-                info.version,
-                if info.version >= 3 {
-                    " (8-byte aligned, mappable)"
-                } else {
-                    " (legacy, loads owned under --mmap where misaligned)"
-                }
+                "format    : ETIDXv03 EquiTruss index (8-byte aligned, mappable)"
             );
             let _ = writeln!(
                 out,
@@ -300,7 +232,7 @@ pub fn cmd_info(path: &Path) -> CliResult {
         }
         other => {
             return Err(format!(
-                "info expects a .bin, .binz, or .etidx file, got {:?} ({})",
+                "info expects a .bin or .etidx file, got {:?} ({})",
                 path.display(),
                 if other.is_empty() {
                     "no extension".to_string()
@@ -313,8 +245,9 @@ pub fn cmd_info(path: &Path) -> CliResult {
     Ok(out)
 }
 
-/// `build <graph> -o <index> [--variant V] [--support-kernel K]`: constructs
-/// and persists.
+/// `build <graph> -o <index> [--variant V]`: constructs and persists. The
+/// binary always passes [`SupportKernel::default`]; the fixed arms are for
+/// tests that pin the `.etidx` bytes across them.
 pub fn cmd_build(
     graph_path: &Path,
     out: &Path,
@@ -323,9 +256,6 @@ pub fn cmd_build(
     backend: Backend,
 ) -> CliResult {
     let graph = load_graph_with(graph_path, backend)?;
-    // Under --numa, spread the shared CSR pages across nodes before the
-    // kernels start hammering them from every socket (no-op otherwise).
-    graph.graph().place(et_graph::Placement::Interleave);
     let t0 = std::time::Instant::now();
     let support = {
         let _span = et_obs::span("Support");
@@ -361,26 +291,6 @@ pub fn cmd_build(
     ))
 }
 
-/// Which community-search engine answers a query.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueryEngine {
-    /// Merge-forest climb over the persisted truss hierarchy (default).
-    Hierarchy,
-    /// Trussness-filtered BFS over the supergraph (the oracle path).
-    Bfs,
-}
-
-/// Parses an engine name (`hierarchy` / `bfs`).
-pub fn parse_engine(name: &str) -> Result<QueryEngine, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "hierarchy" | "h" => Ok(QueryEngine::Hierarchy),
-        "bfs" | "b" => Ok(QueryEngine::Bfs),
-        other => Err(format!(
-            "unknown engine {other:?} (expected hierarchy | bfs)"
-        )),
-    }
-}
-
 struct LoadedIndex {
     graph: EdgeIndexedGraph,
     index: et_core::SuperGraph,
@@ -410,39 +320,24 @@ fn load_query_state(
     })
 }
 
-fn run_query(
-    s: &LoadedIndex,
-    vertex: u32,
-    k: u32,
-    engine: QueryEngine,
-) -> Vec<et_community::Community> {
-    match engine {
-        QueryEngine::Hierarchy => {
-            et_community::query_communities(&s.graph, &s.index, &s.hierarchy, vertex, k)
-        }
-        QueryEngine::Bfs => et_community::query_communities_bfs(&s.graph, &s.index, vertex, k),
-    }
-}
-
-/// `query <graph> <index> -v <vertex> -k <level> [--engine hierarchy|bfs]`:
-/// community search for a single vertex.
+/// `query <graph> <index> -v <vertex> -k <level>`: community search for a
+/// single vertex over the persisted truss hierarchy.
 pub fn cmd_query(
     graph_path: &Path,
     index_path: &Path,
     vertex: u32,
     k: u32,
-    engine: QueryEngine,
     backend: Backend,
 ) -> CliResult {
     let s = load_query_state(graph_path, index_path, backend)?;
     let t0 = std::time::Instant::now();
-    let communities = run_query(&s, vertex, k, engine);
+    let communities = et_community::query_communities(&s.graph, &s.index, &s.hierarchy, vertex, k);
     let elapsed = t0.elapsed();
 
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "vertex {vertex} at k = {k}: {} community(ies) [{engine:?}, {elapsed:.2?}]",
+        "vertex {vertex} at k = {k}: {} community(ies) [{elapsed:.2?}]",
         communities.len()
     );
     for (i, c) in communities.iter().enumerate() {
@@ -460,17 +355,16 @@ pub fn cmd_query(
     Ok(out)
 }
 
-/// `query <graph> <index> --batch <file> [--engine hierarchy|bfs]`: answers
-/// one `(vertex, k)` query per line of `file` (whitespace-separated; `#`
-/// starts a comment), printing the community sizes of each.
+/// `query <graph> <index> --batch <file>`: answers one `(vertex, k)` query per
+/// line of `file` (whitespace-separated; `#` starts a comment), printing the
+/// community sizes of each.
 ///
-/// With the hierarchy engine the sizes come straight from the merge
-/// forest's per-node aggregates — no community is materialized.
+/// The sizes come straight from the merge forest's per-node aggregates — no
+/// community is materialized.
 pub fn cmd_query_batch(
     graph_path: &Path,
     index_path: &Path,
     batch_path: &Path,
-    engine: QueryEngine,
     backend: Backend,
 ) -> CliResult {
     let text = std::fs::read_to_string(batch_path)
@@ -501,52 +395,22 @@ pub fn cmd_query_batch(
     let s = load_query_state(graph_path, index_path, backend)?;
     let t0 = std::time::Instant::now();
     let mut out = String::new();
-    match engine {
-        QueryEngine::Hierarchy => {
-            for &(v, k) in &queries {
-                let stats = et_community::community_stats(&s.graph, &s.index, &s.hierarchy, v, k);
-                let sizes: Vec<String> = stats
-                    .iter()
-                    .map(|cs| format!("{} edges / {} supernodes", cs.edges, cs.supernodes))
-                    .collect();
-                let _ = writeln!(
-                    out,
-                    "v={v} k={k}: {} community(ies){}{}",
-                    stats.len(),
-                    if sizes.is_empty() { "" } else { " — " },
-                    sizes.join("; ")
-                );
-            }
-        }
-        QueryEngine::Bfs => {
-            for &(v, k) in &queries {
-                let cs = et_community::query_communities_bfs(&s.graph, &s.index, v, k);
-                let sizes: Vec<String> = cs
-                    .iter()
-                    .map(|c| {
-                        format!(
-                            "{} edges / {} supernodes",
-                            c.edges.len(),
-                            c.supernodes.len()
-                        )
-                    })
-                    .collect();
-                let _ = writeln!(
-                    out,
-                    "v={v} k={k}: {} community(ies){}{}",
-                    cs.len(),
-                    if sizes.is_empty() { "" } else { " — " },
-                    sizes.join("; ")
-                );
-            }
-        }
+    for &(v, k) in &queries {
+        let stats = et_community::community_stats(&s.graph, &s.index, &s.hierarchy, v, k);
+        let sizes: Vec<String> = stats
+            .iter()
+            .map(|cs| format!("{} edges / {} supernodes", cs.edges, cs.supernodes))
+            .collect();
+        let _ = writeln!(
+            out,
+            "v={v} k={k}: {} community(ies){}{}",
+            stats.len(),
+            if sizes.is_empty() { "" } else { " — " },
+            sizes.join("; ")
+        );
     }
     let elapsed = t0.elapsed();
-    let _ = writeln!(
-        out,
-        "{} queries in {elapsed:.2?} [{engine:?}]",
-        queries.len()
-    );
+    let _ = writeln!(out, "{} queries in {elapsed:.2?}", queries.len());
     Ok(out)
 }
 
@@ -616,14 +480,8 @@ mod tests {
         let q = (0..g.num_vertices() as u32)
             .max_by_key(|&u| g.degree(u))
             .unwrap();
-        let out = cmd_query(&graph, &index, q, 3, QueryEngine::Hierarchy, Backend::Owned).unwrap();
+        let out = cmd_query(&graph, &index, q, 3, Backend::Owned).unwrap();
         assert!(out.contains("community"));
-        // Both engines agree on the rendered communities (the header line
-        // carries engine tag + wall time, so compare from line 2 on).
-        let bfs = cmd_query(&graph, &index, q, 3, QueryEngine::Bfs, Backend::Owned).unwrap();
-        let body = |s: &str| s.lines().skip(1).map(String::from).collect::<Vec<_>>();
-        assert_eq!(body(&out), body(&bfs));
-        assert!(bfs.contains("1 community(ies)") == out.contains("1 community(ies)"));
     }
 
     #[test]
@@ -650,45 +508,13 @@ mod tests {
             format!("# vertex k\n{q} 3\n{q} 4   # inline comment\n\n0 100\n"),
         )
         .unwrap();
-        let out = cmd_query_batch(
-            &graph,
-            &index,
-            &batch,
-            QueryEngine::Hierarchy,
-            Backend::Owned,
-        )
-        .unwrap();
+        let out = cmd_query_batch(&graph, &index, &batch, Backend::Owned).unwrap();
         assert!(out.contains("3 queries in"));
         assert!(out.contains(&format!("v={q} k=3:")));
         assert!(out.contains("v=0 k=100: 0 community(ies)"));
-        // Community counts and size multisets agree across engines.
-        let bfs =
-            cmd_query_batch(&graph, &index, &batch, QueryEngine::Bfs, Backend::Owned).unwrap();
-        for (a, b) in out.lines().zip(bfs.lines()).take(3) {
-            let sizes = |s: &str| {
-                let mut v: Vec<String> = s
-                    .split(" — ")
-                    .nth(1)
-                    .unwrap_or("")
-                    .split("; ")
-                    .map(str::to_string)
-                    .collect();
-                v.sort();
-                v
-            };
-            assert_eq!(a.split(" — ").next(), b.split(" — ").next());
-            assert_eq!(sizes(a), sizes(b));
-        }
         // Malformed line is a user-facing error, not a panic.
         std::fs::write(&batch, "12\n").unwrap();
-        assert!(cmd_query_batch(
-            &graph,
-            &index,
-            &batch,
-            QueryEngine::Hierarchy,
-            Backend::Owned
-        )
-        .is_err());
+        assert!(cmd_query_batch(&graph, &index, &batch, Backend::Owned).is_err());
     }
 
     #[test]
@@ -748,50 +574,49 @@ mod tests {
 
     #[test]
     fn toggle_default_on_polarity() {
-        // The ET_STEAL shape: on unless explicitly disabled.
+        // The ET_SERVE_CACHE shape: on unless explicitly disabled.
         assert!(resolve_toggle_with_default(
-            "steal",
+            "cache",
             None,
-            "ET_TEST_STEAL_UNSET",
+            "ET_TEST_CACHE_UNSET",
             true
         ));
-        std::env::set_var("ET_TEST_STEAL_OFF", "0");
+        std::env::set_var("ET_TEST_CACHE_OFF", "0");
         assert!(!resolve_toggle_with_default(
-            "steal",
+            "cache",
             None,
-            "ET_TEST_STEAL_OFF",
+            "ET_TEST_CACHE_OFF",
             true
         ));
-        std::env::set_var("ET_TEST_STEAL_FALSE", "false");
+        std::env::set_var("ET_TEST_CACHE_FALSE", "false");
         assert!(!resolve_toggle_with_default(
-            "steal",
+            "cache",
             None,
-            "ET_TEST_STEAL_FALSE",
+            "ET_TEST_CACHE_FALSE",
             true
         ));
         // CLI wins in both directions.
         assert!(resolve_toggle_with_default(
-            "steal",
+            "cache",
             Some(true),
-            "ET_TEST_STEAL_OFF",
+            "ET_TEST_CACHE_OFF",
             true
         ));
         assert!(!resolve_toggle_with_default(
-            "steal",
+            "cache",
             Some(false),
-            "ET_TEST_STEAL_UNSET",
+            "ET_TEST_CACHE_UNSET",
             true
         ));
     }
 
     #[test]
     fn toggle_garbage_env_falls_back_to_default() {
-        // A typo like ET_STEAL=off used to read as *enabled* (any value
-        // other than 0/false passed the ad-hoc check); now it is warned
-        // about and ignored, for both polarities.
+        // A typo like ET_SERVE_CACHE=off is warned about and ignored, for
+        // both polarities — never read as a value.
         std::env::set_var("ET_TEST_TOGGLE_GARBAGE", "off");
         assert!(resolve_toggle_with_default(
-            "steal",
+            "cache",
             None,
             "ET_TEST_TOGGLE_GARBAGE",
             true
@@ -809,6 +634,8 @@ mod tests {
         let dir = tmp_dir();
         assert!(cmd_generate("nope", 1.0, &dir.join("x.txt")).is_err());
         assert!(cmd_generate("dblp", 0.0, &dir.join("x.txt")).is_err());
+        let err = cmd_generate("dblp", 1.0, &dir.join("x.binz")).unwrap_err();
+        assert!(err.contains(".binz") && err.contains("write .bin"), "{err}");
     }
 
     #[test]
@@ -827,50 +654,39 @@ mod tests {
             Backend::Owned,
         )
         .unwrap();
-        assert!(cmd_query(&g2, &idx, 0, 3, QueryEngine::Hierarchy, Backend::Owned).is_err());
-    }
-
-    #[test]
-    fn support_kernel_parsing() {
-        assert_eq!(
-            parse_support_kernel("oriented").unwrap(),
-            SupportKernel::Oriented
-        );
-        assert_eq!(parse_support_kernel("MERGE").unwrap(), SupportKernel::Merge);
-        for alias in ["cover-edge", "cover", "ce"] {
-            assert_eq!(
-                parse_support_kernel(alias).unwrap(),
-                SupportKernel::CoverEdge,
-                "{alias}"
-            );
-        }
-        assert!(parse_support_kernel("simd").is_err());
+        assert!(cmd_query(&g2, &idx, 0, 3, Backend::Owned).is_err());
     }
 
     #[test]
     fn builds_agree_across_support_kernels() {
-        // Every Support kernel yields a bit-identical support vector, and
+        // Every Support arm yields a bit-identical support vector, and
         // everything downstream is deterministic — so the persisted index
-        // files must match byte for byte.
+        // files must match byte for byte: on a collaboration profile and on
+        // the two shapes the selecting arm resolves differently (skewed
+        // R-MAT + cliques → oriented, triangulated grid → merge).
         let dir = tmp_dir();
-        let graph = dir.join("sk.txt");
-        cmd_generate("dblp", 1.0 / 64.0, &graph).unwrap();
-        let files: Vec<Vec<u8>> = SupportKernel::ALL
-            .iter()
-            .map(|&k| {
-                let idx = dir.join(format!("sk-{}.etidx", k.name()));
-                cmd_build(&graph, &idx, Variant::Afforest, k, Backend::Owned).unwrap();
-                std::fs::read(&idx).unwrap()
-            })
-            .collect();
-        assert!(files.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
-    fn engine_parsing() {
-        assert_eq!(parse_engine("hierarchy").unwrap(), QueryEngine::Hierarchy);
-        assert_eq!(parse_engine("BFS").unwrap(), QueryEngine::Bfs);
-        assert!(parse_engine("dfs").is_err());
+        let collab = dir.join("sk-collab.txt");
+        cmd_generate("dblp", 1.0 / 64.0, &collab).unwrap();
+        let social = dir.join("sk-social.bin");
+        let skewed = et_gen::rmat_with_cliques(et_gen::RmatConfig::graph500(10, 9, 7), 40, (4, 8));
+        graph_io::write_binary(&skewed, &social).unwrap();
+        let mesh = dir.join("sk-mesh.bin");
+        graph_io::write_binary(&et_gen::triangulated_grid(48), &mesh).unwrap();
+        for graph in [collab, social, mesh] {
+            let files: Vec<Vec<u8>> = SupportKernel::ALL
+                .iter()
+                .map(|&k| {
+                    let idx = graph.with_extension(format!("{}.etidx", k.name()));
+                    cmd_build(&graph, &idx, Variant::Afforest, k, Backend::Owned).unwrap();
+                    std::fs::read(&idx).unwrap()
+                })
+                .collect();
+            assert!(
+                files.windows(2).all(|w| w[0] == w[1]),
+                "{}",
+                graph.display()
+            );
+        }
     }
 
     #[test]
@@ -883,28 +699,19 @@ mod tests {
     }
 
     #[test]
-    fn compressed_graph_roundtrip_via_cli() {
-        // .binz decodes to the same graph the .bin path loads, on both
-        // backends (compressed inputs always decode owned).
+    fn binz_graphs_are_refused_by_name() {
         let dir = tmp_dir();
-        let bin = dir.join("cz.bin");
-        let binz = dir.join("cz.binz");
-        cmd_generate("amazon", 1.0 / 64.0, &bin).unwrap();
-        cmd_generate("amazon", 1.0 / 64.0, &binz).unwrap();
-        let a = load_graph(&bin).unwrap();
-        let b = load_graph_with(&binz, Backend::Mapped).unwrap();
-        assert_eq!(a.graph(), b.graph());
-        assert_eq!(b.graph().storage_backend(), "owned");
+        let err = load_graph(&dir.join("cz.binz")).unwrap_err();
+        assert!(err.contains("cz.binz"), "{err}");
+        assert!(err.contains("regenerate the graph as .bin"), "{err}");
     }
 
     #[test]
     fn info_reports_headers_without_loading() {
         let dir = tmp_dir();
         let bin = dir.join("info.bin");
-        let binz = dir.join("info.binz");
         let idx = dir.join("info.etidx");
         cmd_generate("dblp", 1.0 / 64.0, &bin).unwrap();
-        cmd_generate("dblp", 1.0 / 64.0, &binz).unwrap();
         cmd_build(
             &bin,
             &idx,
@@ -919,11 +726,6 @@ mod tests {
         assert!(bin_info.contains("ETCSRv01"));
         assert!(bin_info.contains(&format!("vertices  : {}", g.num_vertices())));
         assert!(bin_info.contains(&format!("edges     : {}", g.num_edges())));
-
-        let binz_info = cmd_info(&binz).unwrap();
-        assert!(binz_info.contains("ETCSZv01"));
-        assert!(binz_info.contains(&format!("edges     : {}", g.num_edges())));
-        assert!(binz_info.contains("ratio"));
 
         let (index, _, hierarchy) = index_io::read_index_with_hierarchy(&idx)
             .map_err(|e| e.to_string())
@@ -978,24 +780,8 @@ mod tests {
         let q = (0..g.num_vertices() as u32)
             .max_by_key(|&u| g.degree(u))
             .unwrap();
-        let owned = cmd_query(
-            &bin,
-            &idx_owned,
-            q,
-            3,
-            QueryEngine::Hierarchy,
-            Backend::Owned,
-        )
-        .unwrap();
-        let mapped = cmd_query(
-            &bin,
-            &idx_mapped,
-            q,
-            3,
-            QueryEngine::Hierarchy,
-            Backend::Mapped,
-        )
-        .unwrap();
+        let owned = cmd_query(&bin, &idx_owned, q, 3, Backend::Owned).unwrap();
+        let mapped = cmd_query(&bin, &idx_mapped, q, 3, Backend::Mapped).unwrap();
         let body = |s: &str| s.lines().skip(1).map(String::from).collect::<Vec<_>>();
         assert_eq!(body(&owned), body(&mapped));
     }

@@ -36,7 +36,7 @@ pub use kcore::{KCoreCommunity, KCoreIndex};
 pub use membership::CommunityIndex;
 pub use metrics::{community_metrics, vertex_set_metrics, CommunityMetrics};
 pub use query::{
-    community_of_edge, community_of_edge_bfs, community_stats, count_communities,
-    query_communities, query_communities_bfs, strongest_communities, Community, CommunityStats,
+    community_of_edge, community_stats, count_communities, query_communities,
+    query_communities_bfs, strongest_communities, Community, CommunityStats,
 };
 pub use tcp::TcpIndex;

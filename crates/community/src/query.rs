@@ -308,30 +308,6 @@ pub fn community_of_edge(
     Some(materialize(index, hierarchy, rep?, k))
 }
 
-/// [`community_of_edge`] via the BFS oracle.
-pub fn community_of_edge_bfs(
-    graph: &EdgeIndexedGraph,
-    index: &SuperGraph,
-    e: EdgeId,
-    k: u32,
-) -> Option<Community> {
-    if k < 3 || (e as usize) >= graph.num_edges() {
-        return None;
-    }
-    let seed = index.supernode_of(e)?;
-    if index.trussness(seed) < k {
-        return None;
-    }
-    let mut community = with_scratch(|scratch| {
-        scratch.begin(index.num_supernodes());
-        scratch.mark(seed);
-        let mut scanned = 0u64;
-        bfs_component(index, seed, k, scratch, &mut scanned)
-    });
-    community.k = k;
-    Some(community)
-}
-
 /// The communities of `q` at its personal maximum cohesion level — "the
 /// tightest circles this vertex belongs to". Empty if q touches no
 /// trussness-≥3 edge.
@@ -494,7 +470,6 @@ mod tests {
         // k = 4 community found from vertex 6.
         let e = eg.edge_id(6, 7).unwrap();
         let ec = community_of_edge(&eg, &idx, &h, e, 4).unwrap();
-        assert_eq!(Some(&ec), community_of_edge_bfs(&eg, &idx, e, 4).as_ref());
         let vc = query_communities(&eg, &idx, &h, 6, 4);
         assert!(vc.iter().any(|c| c.edges == ec.edges));
         // Below its trussness class nothing changes; above, None.
@@ -502,8 +477,6 @@ mod tests {
         assert!(community_of_edge(&eg, &idx, &h, e, 6).is_none());
         assert!(community_of_edge(&eg, &idx, &h, e, 2).is_none());
         assert!(community_of_edge(&eg, &idx, &h, 9999, 3).is_none());
-        assert!(community_of_edge_bfs(&eg, &idx, e, 6).is_none());
-        assert!(community_of_edge_bfs(&eg, &idx, 9999, 3).is_none());
     }
 
     #[test]

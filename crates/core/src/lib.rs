@@ -52,8 +52,7 @@ pub use original::build_original;
 pub use phi::PhiGroups;
 pub use pipeline::{
     build_index, build_index_with_decomposition, build_index_with_decomposition_scheduled,
-    build_index_with_kernel, build_index_with_options, IndexBuild, Schedule, SupportKernel,
-    Variant,
+    build_index_with_options, IndexBuild, Schedule, SupportKernel, Variant,
 };
 pub use stats::IndexStats;
 pub use timings::KernelTimings;

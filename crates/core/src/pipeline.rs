@@ -59,128 +59,75 @@ impl Variant {
 
 /// Which Support kernel seeds the pipeline.
 ///
-/// [`SupportKernel::Oriented`] is the default: triangle-once enumeration over
-/// the degree-ordered DAG. [`SupportKernel::Merge`] keeps the per-edge
-/// `N(u) ∩ N(v)` kernel selectable so the Fig. 2-style "Original" breakdown
-/// can still time the three-visits-per-triangle version.
-/// [`SupportKernel::CoverEdge`] is the alternative triangle-once kernel:
-/// BFS-level cover-edge enumeration, skipping the orientation pass and
-/// intersecting only same-level edges — the contender on dense graphs.
-/// [`SupportKernel::Auto`] resolves to one of the three from cheap
-/// [`ShapeStats`] computed at selection time (see DESIGN.md "Scheduling
-/// v2" for the decision table). Every kernel returns the identical support
-/// vector.
+/// [`SupportKernel::Default`] is what every build runs: it picks one of the
+/// two fixed arms per graph from a load-time shape sketch
+/// ([`ShapeStats::adj_balance`]). [`SupportKernel::Oriented`] is the
+/// triangle-once enumeration over the degree-ordered DAG;
+/// [`SupportKernel::Merge`] the per-edge `N(u) ∩ N(v)` kernel, which needs no
+/// DAG. The fixed arms stay nameable so the tests can pin all three against
+/// each other; nothing outside the code selects between them. Every arm
+/// returns the identical support vector.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SupportKernel {
+    /// Pick [`SupportKernel::Oriented`] or [`SupportKernel::Merge`] per graph.
+    #[default]
+    Default,
+    /// Triangle-once oriented enumeration with atomic scatter.
+    Oriented,
     /// Per-edge sorted-set intersection (each triangle counted three times).
     Merge,
-    /// Triangle-once oriented enumeration with atomic scatter.
-    #[default]
-    Oriented,
-    /// Triangle-once cover-edge enumeration over BFS-level horizontal edges.
-    CoverEdge,
-    /// Pick the concrete kernel per graph from shape statistics.
-    Auto,
 }
 
-/// [`SupportKernel::Auto`] decision thresholds, seeded from the measured
-/// BENCH_support.json matrix (see DESIGN.md "Scheduling v2" for the
-/// measured shape-statistic table behind each constant).
-///
 /// Below this adjacency balance, edges are dominated by hub–leaf pairs:
-/// degree ordering makes out-lists short and the oriented kernel wins
-/// (measured: R-MAT sits at 0.28–0.31, every other shape ≥ 0.66).
-const AUTO_BALANCE_ORIENTED_MAX: f64 = 0.5;
-/// Below this degree CV a balanced graph is near-regular: the horizontal
-/// cover is cheap to build and small relative to m, and the cover-edge
-/// kernel wins (measured: G(n,m) ≈ 0.25, clique mixes ≥ 0.57).
-const AUTO_CV_COVER_MAX: f64 = 0.35;
-/// Cover-edge additionally requires that horizontal edges not dominate the
-/// sketch — when almost every sampled edge is same-level (dense same-level
-/// cliques) the cover is no smaller than the graph and merge+SIMD wins.
-const AUTO_HORIZONTAL_COVER_MAX: f64 = 0.55;
+/// degree ordering makes out-lists short and the oriented kernel wins. At or
+/// above it endpoints have similar degrees, the DAG build costs more than the
+/// two extra visits per triangle it saves, and merge wins. Measured on the
+/// `bench_e2e` shapes (EXPERIMENTS.md "PR 13"): social 0.33 (oriented 23 ms,
+/// merge 75 ms), mesh 0.83 (85 vs 18 ms), collaboration 0.66 (a tie).
+const BALANCE_ORIENTED_MAX: f64 = 0.5;
 
 impl SupportKernel {
-    /// All selectable kernels, oriented (the default) first.
-    pub const ALL: [SupportKernel; 4] = [
+    /// The selecting arm first, then the two fixed arms.
+    pub const ALL: [SupportKernel; 3] = [
+        SupportKernel::Default,
         SupportKernel::Oriented,
         SupportKernel::Merge,
-        SupportKernel::CoverEdge,
-        SupportKernel::Auto,
-    ];
-
-    /// The three concrete kernels (everything [`SupportKernel::Auto`] can
-    /// resolve to), oriented first.
-    pub const CONCRETE: [SupportKernel; 3] = [
-        SupportKernel::Oriented,
-        SupportKernel::Merge,
-        SupportKernel::CoverEdge,
     ];
 
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {
-            SupportKernel::Merge => "merge",
+            SupportKernel::Default => "default",
             SupportKernel::Oriented => "oriented",
-            SupportKernel::CoverEdge => "cover-edge",
-            SupportKernel::Auto => "auto",
+            SupportKernel::Merge => "merge",
         }
     }
 
-    /// The decision table behind [`SupportKernel::Auto`]: maps a shape
-    /// sketch to the concrete kernel the measured support matrix says wins
-    /// on that regime. Pure (no graph access), so it is unit-testable and
-    /// the CI auto-selection smoke can compare it against fresh
-    /// measurements.
-    pub fn select_for(stats: &ShapeStats) -> SupportKernel {
-        if stats.adj_balance < AUTO_BALANCE_ORIENTED_MAX {
-            // Skewed hub–leaf edges: short oriented out-lists win.
-            SupportKernel::Oriented
-        } else if stats.degree_cv < AUTO_CV_COVER_MAX
-            && stats.horizontal_fraction < AUTO_HORIZONTAL_COVER_MAX
-        {
-            // Near-regular with a small horizontal cover: cover-edge wins.
-            SupportKernel::CoverEdge
-        } else {
-            // Balanced, clique-heavy: productive full-list merges win.
-            SupportKernel::Merge
-        }
-    }
-
-    /// Resolves [`SupportKernel::Auto`] to a concrete kernel for `graph`
-    /// (identity for concrete kernels), logging the choice and the shape
-    /// sketch behind it via `support.auto_*` counters when tracing is on.
+    /// Resolves [`SupportKernel::Default`] to the fixed arm for `graph`
+    /// (identity for the fixed arms), recording the choice as a
+    /// `support.choice.<arm>` counter when tracing is on.
     pub fn resolve(&self, graph: &EdgeIndexedGraph) -> SupportKernel {
-        if *self != SupportKernel::Auto {
+        if *self != SupportKernel::Default {
             return *self;
         }
-        let stats = ShapeStats::compute(graph.graph());
-        let choice = Self::select_for(&stats);
+        let stats = ShapeStats::compute(graph);
+        let choice = if stats.adj_balance < BALANCE_ORIENTED_MAX {
+            SupportKernel::Oriented
+        } else {
+            SupportKernel::Merge
+        };
         if et_obs::enabled() {
-            et_obs::counter_add(&format!("support.auto_choice.{}", choice.name()), 1);
-            et_obs::counter_add(
-                "support.auto_stats.cv_x1000",
-                (stats.degree_cv * 1000.0) as u64,
-            );
-            et_obs::counter_add(
-                "support.auto_stats.balance_x1000",
-                (stats.adj_balance * 1000.0) as u64,
-            );
-            et_obs::counter_add(
-                "support.auto_stats.horizontal_x1000",
-                (stats.horizontal_fraction * 1000.0) as u64,
-            );
+            et_obs::counter_add(&format!("support.choice.{}", choice.name()), 1);
         }
         choice
     }
 
-    /// Runs the selected kernel ([`SupportKernel::Auto`] resolves first).
+    /// Runs the kernel ([`SupportKernel::Default`] resolves first).
     pub fn compute(&self, graph: &EdgeIndexedGraph) -> Vec<u32> {
         match self.resolve(graph) {
             SupportKernel::Merge => et_triangle::compute_support(graph),
             SupportKernel::Oriented => et_triangle::compute_support_oriented(graph),
-            SupportKernel::CoverEdge => et_triangle::compute_support_cover(graph),
-            SupportKernel::Auto => unreachable!("resolve returns a concrete kernel"),
+            SupportKernel::Default => unreachable!("resolve returns a fixed arm"),
         }
     }
 }
@@ -247,24 +194,19 @@ const _: () = {
 };
 
 /// Full pipeline: Support → parallel truss decomposition → index
-/// construction with the chosen variant, using the default (oriented,
-/// triangle-once) Support kernel.
+/// construction with the chosen variant, under the default Support pick and
+/// the default (wave) schedule.
 pub fn build_index(graph: &EdgeIndexedGraph, variant: Variant) -> IndexBuild {
-    build_index_with_kernel(graph, variant, SupportKernel::default())
+    build_index_with_options(
+        graph,
+        variant,
+        SupportKernel::default(),
+        Schedule::default(),
+    )
 }
 
-/// Full pipeline with an explicit Support kernel choice, under the default
-/// (wave) schedule.
-pub fn build_index_with_kernel(
-    graph: &EdgeIndexedGraph,
-    variant: Variant,
-    kernel: SupportKernel,
-) -> IndexBuild {
-    build_index_with_options(graph, variant, kernel, Schedule::default())
-}
-
-/// Full pipeline with every knob explicit: Support kernel and SpNode/SpEdge
-/// schedule.
+/// Full pipeline with the Support arm and the SpNode/SpEdge schedule
+/// explicit (tests pin them; builds use [`build_index`]).
 pub fn build_index_with_options(
     graph: &EdgeIndexedGraph,
     variant: Variant,
@@ -498,9 +440,10 @@ mod tests {
     #[test]
     fn support_kernels_build_identical_indexes() {
         let eg = EdgeIndexedGraph::new(et_gen::overlapping_cliques(150, 30, (3, 6), 60, 9));
-        let reference = build_index_with_kernel(&eg, Variant::COptimal, SupportKernel::Oriented);
+        let reference = build_index(&eg, Variant::COptimal);
         for kernel in SupportKernel::ALL {
-            let build = build_index_with_kernel(&eg, Variant::COptimal, kernel);
+            let build =
+                build_index_with_options(&eg, Variant::COptimal, kernel, Schedule::default());
             assert_eq!(
                 build.index.canonical(),
                 reference.index.canonical(),
@@ -511,70 +454,11 @@ mod tests {
     }
 
     #[test]
-    fn auto_kernel_resolves_concrete_and_matches() {
+    fn default_kernel_resolves_to_a_fixed_arm() {
         let eg = EdgeIndexedGraph::new(et_gen::overlapping_cliques(150, 30, (3, 6), 60, 9));
-        let resolved = SupportKernel::Auto.resolve(&eg);
-        assert_ne!(resolved, SupportKernel::Auto);
-        assert_eq!(
-            resolved,
-            resolved.resolve(&eg),
-            "concrete resolve is identity"
-        );
-        assert_eq!(
-            SupportKernel::Auto.compute(&eg),
-            SupportKernel::Oriented.compute(&eg),
-            "auto support must be bit-identical to the oracle"
-        );
-    }
-
-    #[test]
-    fn decision_table_covers_the_measured_regimes() {
-        // Stat vectors measured on the four bench_smoke shapes (quick and
-        // full scales); the table must reproduce the BENCH_support winners.
-        let cases: [(f64, f64, f64, SupportKernel, &str); 8] = [
-            (2.820, 0.305, 0.600, SupportKernel::Oriented, "rmat quick"),
-            (4.099, 0.280, 0.812, SupportKernel::Oriented, "rmat full"),
-            (0.571, 0.659, 0.566, SupportKernel::Merge, "cliques quick"),
-            (0.573, 0.660, 0.692, SupportKernel::Merge, "cliques full"),
-            (
-                1.418,
-                0.768,
-                0.716,
-                SupportKernel::Merge,
-                "cliques-dense quick",
-            ),
-            (
-                1.253,
-                0.761,
-                0.959,
-                SupportKernel::Merge,
-                "cliques-dense full",
-            ),
-            (
-                0.246,
-                0.780,
-                0.475,
-                SupportKernel::CoverEdge,
-                "near-regular quick",
-            ),
-            (
-                0.249,
-                0.777,
-                0.245,
-                SupportKernel::CoverEdge,
-                "near-regular full",
-            ),
-        ];
-        for (degree_cv, adj_balance, horizontal_fraction, want, label) in cases {
-            let stats = ShapeStats {
-                degree_cv,
-                adj_balance,
-                horizontal_fraction,
-                sketch_vertices: 8000,
-                sketch_edges: 30_000,
-            };
-            assert_eq!(SupportKernel::select_for(&stats), want, "{label}");
-        }
+        let resolved = SupportKernel::Default.resolve(&eg);
+        assert_ne!(resolved, SupportKernel::Default);
+        assert_eq!(resolved, resolved.resolve(&eg), "fixed resolve is identity");
     }
 
     #[test]

@@ -256,31 +256,6 @@ mod tests {
         }
     }
 
-    /// A `side × side` grid with both axis edges and one diagonal per cell,
-    /// alternating by parity: every edge in one or two triangles, k_max 3.
-    fn triangulated_grid(side: u32) -> et_graph::CsrGraph {
-        let at = |r: u32, c: u32| r * side + c;
-        let mut b = et_graph::GraphBuilder::new((side * side) as usize);
-        for r in 0..side {
-            for c in 0..side {
-                if c + 1 < side {
-                    b.add_edge(at(r, c), at(r, c + 1));
-                }
-                if r + 1 < side {
-                    b.add_edge(at(r, c), at(r + 1, c));
-                }
-                if r + 1 < side && c + 1 < side {
-                    if (r + c) % 2 == 0 {
-                        b.add_edge(at(r, c), at(r + 1, c + 1));
-                    } else {
-                        b.add_edge(at(r, c + 1), at(r + 1, c));
-                    }
-                }
-            }
-        }
-        b.build()
-    }
-
     fn candidate_set(subsets: Vec<Vec<RootPair>>) -> Vec<RootPair> {
         let mut pairs: Vec<RootPair> = subsets.into_iter().flatten().collect();
         pairs.sort_unstable();
@@ -305,7 +280,7 @@ mod tests {
             et_gen::overlapping_cliques(250, 50, (3, 8), 120, 11),
         ));
         graphs.push(("gnm".into(), et_gen::gnm(120, 900, 4)));
-        graphs.push(("grid".into(), triangulated_grid(12)));
+        graphs.push(("grid".into(), et_gen::triangulated_grid(12)));
 
         for (name, graph) in graphs {
             let eg = EdgeIndexedGraph::new(graph);

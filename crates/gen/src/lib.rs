@@ -4,8 +4,8 @@
 //! Those downloads are not available in this environment, so this crate
 //! provides deterministic, seeded generators whose outputs exercise the same
 //! code paths: skewed degree distributions (R-MAT), clique-heavy collaboration
-//! structure (overlapping planted cliques, like DBLP/Amazon), and uniform
-//! noise (Erdős–Rényi). `profiles` maps each paper dataset name to a scaled
+//! structure (overlapping planted cliques, like DBLP/Amazon), uniform noise
+//! (Erdős–Rényi), and a degree-balanced planar mesh (triangulated grid). `profiles` maps each paper dataset name to a scaled
 //! synthetic analog; `fixtures` provides small graphs with *hand-verified*
 //! truss decompositions — including the paper's own Figure 3 example.
 //!
@@ -17,12 +17,14 @@
 pub mod barabasi_albert;
 pub mod erdos_renyi;
 pub mod fixtures;
+pub mod mesh;
 pub mod planted;
 pub mod profiles;
 pub mod rmat;
 
 pub use barabasi_albert::barabasi_albert;
 pub use erdos_renyi::{gnm, gnp};
+pub use mesh::triangulated_grid;
 pub use planted::{overlapping_cliques, planted_partition, PlantedConfig};
 pub use profiles::{profile_by_name, DatasetProfile, PROFILE_NAMES};
 pub use rmat::{rmat, rmat_small, rmat_with_cliques, RmatConfig};

@@ -120,8 +120,8 @@ mod sys {
 /// Access-pattern hints forwarded to `madvise` on mapped storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Advice {
-    /// The region will be read front-to-back once (streaming ingest or
-    /// varint decode): aggressive readahead, pages dropped soon after use.
+    /// The region will be read front-to-back once (streaming ingest):
+    /// aggressive readahead, pages dropped soon after use.
     Sequential,
     /// The region will be needed shortly (e.g. neighbor arrays right before
     /// an oriented build): start faulting pages in now.
@@ -440,32 +440,6 @@ impl<T: Pod> Buf<T> {
             m.advise(advice);
         }
     }
-
-    /// Applies a NUMA placement hint to this buffer's pages. Best-effort on
-    /// every backend and a no-op unless `--numa`/`ET_NUMA=1` placement is
-    /// active on a multi-node machine.
-    pub fn place(&self, placement: Placement) {
-        match placement {
-            Placement::Interleave => crate::numa::interleave_region(self.as_slice()),
-            // First-touch is the kernel's default policy: pages land on the
-            // node of the worker that writes them first, which the pinned
-            // node-affine shards already arrange. Nothing to do eagerly.
-            Placement::FirstTouch => {}
-        }
-    }
-}
-
-/// NUMA placement hint for a large shared array (see [`Buf::place`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Placement {
-    /// Spread pages round-robin across nodes (`mbind(MPOL_INTERLEAVE)`), so
-    /// arrays read by every worker (CSR offsets/neighbors, support slab)
-    /// don't all live on one socket.
-    #[default]
-    Interleave,
-    /// Leave pages where first touch puts them — right for shard-private
-    /// data written by pinned workers.
-    FirstTouch,
 }
 
 impl<T: Pod> Deref for Buf<T> {
@@ -674,12 +648,10 @@ mod tests {
     }
 
     #[test]
-    fn advise_and_place_are_safe_on_every_backend() {
+    fn advise_is_safe_on_every_backend() {
         let owned: Buf<u32> = vec![1, 2, 3].into();
         owned.advise(Advice::Sequential);
         owned.advise(Advice::WillNeed);
-        owned.place(Placement::Interleave);
-        owned.place(Placement::FirstTouch);
         assert_eq!(owned, vec![1, 2, 3]);
         if !Mmap::supported() {
             return;
@@ -700,7 +672,6 @@ mod tests {
         view.advise(Advice::WillNeed);
         let buf: Buf<u32> = view.into();
         buf.advise(Advice::Sequential);
-        buf.place(Placement::Interleave);
         assert_eq!(buf.as_slice(), &words[16..1016]);
         std::fs::remove_file(&path).ok();
     }

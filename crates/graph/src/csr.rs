@@ -80,13 +80,6 @@ impl CsrGraph {
         self.neighbors.advise(advice);
     }
 
-    /// Applies a NUMA placement hint to both adjacency arrays (best-effort;
-    /// see [`Buf::place`]).
-    pub fn place(&self, placement: crate::buf::Placement) {
-        self.offsets.place(placement);
-        self.neighbors.place(placement);
-    }
-
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {

@@ -44,10 +44,11 @@ const DECODE_CHUNK: usize = 1 << 16;
 const MIN_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Loads a graph from a path, dispatching on the extension: `.bin` goes to
-/// [`read_binary`], `.binz` to [`crate::varint::read_binary_compressed`],
-/// anything else is parsed as a text edge list and built into a canonical
-/// CSR. Binary files decode into owned memory; use [`read_graph_with`] to
-/// request the memory-mapped backend.
+/// [`read_binary`], anything else is parsed as a text edge list and built
+/// into a canonical CSR (a `.binz` path — the removed delta/varint format —
+/// is rejected by name rather than parsed as text). Binary files decode into
+/// owned memory; use [`read_graph_with`] to request the memory-mapped
+/// backend.
 pub fn read_graph<P: AsRef<Path>>(path: P) -> Result<CsrGraph, GraphError> {
     read_graph_with(path, Backend::Owned)
 }
@@ -55,13 +56,17 @@ pub fn read_graph<P: AsRef<Path>>(path: P) -> Result<CsrGraph, GraphError> {
 /// [`read_graph`] with an explicit storage backend for binary files.
 ///
 /// Under [`Backend::Mapped`] the `.bin` arrays become zero-copy views of the
-/// mapped file (validated in place, never copied); text and `.binz` inputs
-/// must be decoded, so they always produce owned storage.
+/// mapped file (validated in place, never copied); text inputs must be
+/// decoded, so they always produce owned storage.
 pub fn read_graph_with<P: AsRef<Path>>(path: P, backend: Backend) -> Result<CsrGraph, GraphError> {
     let path = path.as_ref();
     match path.extension() {
         Some(e) if e == "bin" => read_binary_with(path, backend),
-        Some(e) if e == "binz" => crate::varint::read_binary_compressed(path),
+        Some(e) if e == "binz" => Err(corrupt_err(format!(
+            "{}: the compressed .binz graph format (ETCSZv01) is no longer supported; \
+             regenerate the graph as .bin",
+            path.display()
+        ))),
         _ => Ok(read_text_edge_list(path)?.build()),
     }
 }
@@ -356,7 +361,7 @@ impl BinaryHeader {
     }
 }
 
-pub(crate) fn corrupt_err(message: String) -> GraphError {
+fn corrupt_err(message: String) -> GraphError {
     GraphError::Parse { line: 0, message }
 }
 
@@ -575,6 +580,17 @@ mod tests {
             Err(GraphError::Parse { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn binz_path_is_rejected_by_name() {
+        // No file needed: the removed format is refused on its extension,
+        // before anything is opened or parsed as text.
+        let err = read_graph(tmp("old.binz")).unwrap_err().to_string();
+        assert!(err.contains("old.binz"), "{err}");
+        assert!(err.contains("no longer supported"), "{err}");
+        assert!(err.contains("regenerate the graph as .bin"), "{err}");
+        assert!(!err.contains("magic"), "{err}");
     }
 
     #[test]

@@ -41,22 +41,19 @@ pub mod csr;
 pub mod edge_index;
 pub mod edgelist;
 pub mod io;
-pub mod numa;
 pub mod ordering;
 pub mod oriented;
 pub mod packed;
 pub mod schedule;
 pub mod stats;
 pub mod steal;
-pub mod varint;
 pub mod view;
 
-pub use buf::{Advice, Backend, Buf, MappedSlice, Mmap, Placement};
+pub use buf::{Advice, Backend, Buf, MappedSlice, Mmap};
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use edge_index::EdgeIndexedGraph;
 pub use edgelist::EdgeList;
-pub use numa::NumaTopology;
 pub use oriented::OrientedGraph;
 pub use stats::{GraphStats, ShapeStats};
 pub use steal::StealStats;

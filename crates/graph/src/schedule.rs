@@ -82,16 +82,6 @@ pub fn default_tasks_per_thread(n: usize, per_thread: usize) -> usize {
     (rayon::current_num_threads() * per_thread).clamp(1, n.max(1))
 }
 
-/// Work-quantile tasks grouped into one shard per pool worker, ready for
-/// [`crate::steal::execute`]. Consecutive tasks go to the same shard, so each
-/// shard owns a contiguous index region — under `--numa` with pinned workers
-/// that region is first-touched by (and stays local to) one node.
-pub fn sharded_ranges_from_work(work: &[u64], per_thread: usize) -> Vec<Vec<Range<usize>>> {
-    let workers = rayon::current_num_threads().max(1);
-    let tasks = ranges_from_work(work, default_tasks_per_thread(work.len(), per_thread));
-    crate::steal::shard_tasks(tasks, workers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,14 +210,5 @@ mod tests {
     #[test]
     fn zero_tasks_treated_as_one() {
         assert_eq!(ranges_from_work(&[1, 2, 3], 0), vec![0..3]);
-    }
-
-    #[test]
-    fn sharded_ranges_cover_and_shard_count_matches_pool() {
-        let work: Vec<u64> = (0..300).map(|i| (i % 11) as u64).collect();
-        let shards = sharded_ranges_from_work(&work, 4);
-        assert_eq!(shards.len(), rayon::current_num_threads().max(1));
-        let flat: Vec<Range<usize>> = shards.into_iter().flatten().collect();
-        check_cover(&flat, 300);
     }
 }

@@ -1,6 +1,6 @@
 //! Descriptive statistics for graphs (Table 3-style dataset summaries).
 
-use crate::{CsrGraph, VertexId};
+use crate::{CsrGraph, EdgeId, EdgeIndexedGraph, VertexId};
 use serde::Serialize;
 
 /// Summary statistics of a graph, mirroring the dataset columns the paper
@@ -47,139 +47,45 @@ impl GraphStats {
     }
 }
 
-/// Cap on vertices visited by the BFS level sketch.
-const SKETCH_VISIT_CAP: usize = 8192;
-/// Cap on edges sampled for the balance / horizontal estimates.
+/// Cap on edges sampled for the balance estimate.
 const SKETCH_EDGE_CAP: usize = 50_000;
 
-/// Cheap shape statistics that discriminate between support-kernel regimes,
-/// computed at load time in O(sample) work. These drive
-/// `SupportKernel::Auto` (see DESIGN.md "Scheduling v2"): skewed graphs
-/// favor the oriented kernel (short out-lists under degree ordering),
-/// balanced clique-heavy graphs favor merge+SIMD (productive full-list
-/// intersections), and near-regular graphs favor the cover-edge kernel
-/// (small horizontal cover).
+/// The cheap shape statistic that picks the Support kernel
+/// (`SupportKernel::Default`, see DESIGN.md "Support selection"), computed in
+/// O(sample) work: skewed graphs favor the oriented kernel (short
+/// out-lists under degree ordering), balanced ones the per-edge merge
+/// (productive full-list intersections, no DAG to build).
 #[derive(Clone, Debug, Serialize, PartialEq)]
 pub struct ShapeStats {
-    /// Coefficient of variation of degree (stddev / mean) over non-isolated
-    /// vertices. ~0.25 for G(n,m), >1 for power-law / planted-clique mixes.
-    pub degree_cv: f64,
     /// Mean of `min(deg u, deg v) / max(deg u, deg v)` over sampled edges:
-    /// close to 1 when endpoints have similar degrees (regular graphs,
-    /// intra-clique edges), small on hub-leaf edges.
+    /// close to 1 when endpoints have similar degrees (meshes, regular
+    /// graphs, intra-clique edges), small on hub-leaf edges.
     pub adj_balance: f64,
-    /// Fraction of sampled edges whose endpoints share a BFS level in the
-    /// sampled sketch — the cover-edge kernel's workload is exactly the
-    /// horizontal edges.
-    pub horizontal_fraction: f64,
-    /// Vertices reached by the BFS sketch (capped).
-    pub sketch_vertices: usize,
-    /// Edges inspected for the balance / horizontal estimates (capped).
+    /// Edges inspected for the estimate (capped).
     pub sketch_edges: usize,
 }
 
 impl ShapeStats {
-    /// Computes the shape sketch for `graph`. Deterministic for a given
-    /// graph: sampling is by fixed stride, BFS roots are the lowest-id
-    /// unvisited vertices, and neighbor order is the sorted CSR order.
-    pub fn compute(graph: &CsrGraph) -> Self {
-        let n = graph.num_vertices();
-        // Degree CV over non-isolated vertices, exact (single cheap pass).
-        let mut active = 0usize;
-        let mut sum = 0.0f64;
-        let mut sum_sq = 0.0f64;
-        for u in 0..n {
-            let d = graph.degree(u as VertexId) as f64;
-            if d > 0.0 {
-                active += 1;
-                sum += d;
-                sum_sq += d * d;
-            }
-        }
-        let degree_cv = if active == 0 || sum == 0.0 {
-            0.0
-        } else {
-            let mean = sum / active as f64;
-            let var = (sum_sq / active as f64 - mean * mean).max(0.0);
-            var.sqrt() / mean
-        };
-
-        // BFS level sketch: multi-source over components (lowest-id roots)
-        // until the visit cap, levels in sorted-CSR order — deterministic.
-        let mut level = vec![u32::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
-        let mut visited = 0usize;
-        let mut next_root = 0usize;
-        'sketch: while visited < SKETCH_VISIT_CAP.min(n) {
-            while next_root < n
-                && (level[next_root] != u32::MAX || graph.degree(next_root as VertexId) == 0)
-            {
-                next_root += 1;
-            }
-            if next_root >= n {
-                break;
-            }
-            level[next_root] = 0;
-            visited += 1;
-            queue.push_back(next_root as VertexId);
-            while let Some(u) = queue.pop_front() {
-                let next = level[u as usize] + 1;
-                for &v in graph.neighbors(u) {
-                    if level[v as usize] == u32::MAX {
-                        level[v as usize] = next;
-                        visited += 1;
-                        queue.push_back(v);
-                        if visited >= SKETCH_VISIT_CAP {
-                            break 'sketch;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Edge sample: every stride-th canonical (u < v) edge.
+    /// Computes the shape sketch for `graph` in O(sample) work. Deterministic
+    /// for a given graph: every stride-th edge id.
+    pub fn compute(graph: &EdgeIndexedGraph) -> Self {
         let m = graph.num_edges();
         let stride = m.div_ceil(SKETCH_EDGE_CAP).max(1);
-        let mut seen = 0usize;
-        let mut sampled = 0usize;
-        let mut balance_sum = 0.0f64;
-        let mut leveled = 0usize;
-        let mut horizontal = 0usize;
-        for u in 0..n {
-            let du = graph.degree(u as VertexId);
-            for &v in graph.neighbors(u as VertexId) {
-                if (v as usize) <= u {
-                    continue;
-                }
-                if seen.is_multiple_of(stride) {
-                    sampled += 1;
-                    let dv = graph.degree(v);
-                    let (lo, hi) = if du < dv { (du, dv) } else { (dv, du) };
-                    balance_sum += lo as f64 / hi as f64;
-                    let (lu, lv) = (level[u], level[v as usize]);
-                    if lu != u32::MAX && lv != u32::MAX {
-                        leveled += 1;
-                        if lu == lv {
-                            horizontal += 1;
-                        }
-                    }
-                }
-                seen += 1;
-            }
-        }
+        let sampled = m.div_ceil(stride);
+        let balance_sum: f64 = (0..m)
+            .step_by(stride)
+            .map(|e| {
+                let (u, v) = graph.endpoints(e as EdgeId);
+                let (du, dv) = (graph.degree(u), graph.degree(v));
+                du.min(dv) as f64 / du.max(dv) as f64
+            })
+            .sum();
         ShapeStats {
-            degree_cv,
             adj_balance: if sampled == 0 {
                 0.0
             } else {
                 balance_sum / sampled as f64
             },
-            horizontal_fraction: if leveled == 0 {
-                0.0
-            } else {
-                horizontal as f64 / leveled as f64
-            },
-            sketch_vertices: visited,
             sketch_edges: sampled,
         }
     }
@@ -229,50 +135,36 @@ mod tests {
 
     #[test]
     fn shape_stats_empty_and_isolated() {
-        let s = ShapeStats::compute(&CsrGraph::empty(0));
-        assert_eq!(s.degree_cv, 0.0);
+        let s = ShapeStats::compute(&EdgeIndexedGraph::new(CsrGraph::empty(0)));
+        assert_eq!(s.adj_balance, 0.0);
         assert_eq!(s.sketch_edges, 0);
-        let s = ShapeStats::compute(&CsrGraph::empty(10));
-        assert_eq!(s.sketch_vertices, 0);
-        assert_eq!(s.horizontal_fraction, 0.0);
+        let s = ShapeStats::compute(&EdgeIndexedGraph::new(CsrGraph::empty(10)));
+        assert_eq!(s.sketch_edges, 0);
     }
 
     #[test]
-    fn shape_stats_clique_is_balanced_and_horizontal() {
-        // K5: all degrees equal (cv 0, balance 1); BFS puts 4 vertices on
-        // level 1, so 6 of the 10 edges are horizontal.
+    fn shape_stats_clique_is_balanced() {
         let edges: Vec<(u32, u32)> = (0..5u32)
             .flat_map(|u| ((u + 1)..5).map(move |v| (u, v)))
             .collect();
-        let g = GraphBuilder::from_edges(5, &edges).build();
+        let g = EdgeIndexedGraph::new(GraphBuilder::from_edges(5, &edges).build());
         let s = ShapeStats::compute(&g);
-        assert!(s.degree_cv.abs() < 1e-12);
         assert!((s.adj_balance - 1.0).abs() < 1e-12);
-        assert!((s.horizontal_fraction - 0.6).abs() < 1e-12);
-        assert_eq!(s.sketch_vertices, 5);
         assert_eq!(s.sketch_edges, 10);
     }
 
     #[test]
-    fn shape_stats_path_has_no_horizontal_edges() {
-        let g = GraphBuilder::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]).build();
-        let s = ShapeStats::compute(&g);
-        assert_eq!(s.horizontal_fraction, 0.0);
-    }
-
-    #[test]
-    fn shape_stats_star_is_skewed_and_unbalanced() {
+    fn shape_stats_star_is_unbalanced() {
         let edges: Vec<(u32, u32)> = (1..40u32).map(|v| (0, v)).collect();
-        let g = GraphBuilder::from_edges(40, &edges).build();
+        let g = EdgeIndexedGraph::new(GraphBuilder::from_edges(40, &edges).build());
         let s = ShapeStats::compute(&g);
-        assert!(s.degree_cv > 1.0, "star cv {}", s.degree_cv);
         assert!(s.adj_balance < 0.1, "star balance {}", s.adj_balance);
     }
 
     #[test]
     fn shape_stats_deterministic() {
         let edges: Vec<(u32, u32)> = (0..200u32).map(|i| (i, (i * 7 + 1) % 200)).collect();
-        let g = GraphBuilder::from_edges(200, &edges).build();
+        let g = EdgeIndexedGraph::new(GraphBuilder::from_edges(200, &edges).build());
         assert_eq!(ShapeStats::compute(&g), ShapeStats::compute(&g));
     }
 }

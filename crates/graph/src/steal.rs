@@ -1,4 +1,4 @@
-//! Work-stealing execution over node-affine task shards.
+//! Work-stealing execution over per-worker task shards.
 //!
 //! [`crate::schedule::ranges_from_work`] balances tasks by *estimated* work;
 //! when the estimate is badly wrong for a few items (a frontier edge whose
@@ -18,14 +18,8 @@
 //! value. Execution order changes under stealing, but both hot paths that
 //! use it (support scatter via commutative relaxed atomic adds, peel
 //! frontier collection followed by a sort) are order-insensitive, so results
-//! stay bit-identical with stealing on or off.
-//!
-//! Shards map to NUMA nodes the same way workers do
-//! ([`crate::numa::node_of_worker`]): a worker's own shard is node-local,
-//! same-node victims are preferred, and only claims that cross a node
-//! boundary count as `sched.remote_tasks`.
+//! stay bit-identical whatever the steal interleaving.
 
-use crate::numa;
 use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -33,30 +27,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// Below this many items a range is claimed whole instead of split; keeps
 /// the CAS traffic amortised over real work.
 const MIN_GRAIN: usize = 64;
-
-/// Whether work stealing is enabled (default on; `ET_STEAL=0` disables).
-pub fn stealing_enabled() -> bool {
-    STEALING_DISABLED.load(Ordering::Relaxed) == 0
-}
-
-static STEALING_DISABLED: AtomicUsize = AtomicUsize::new(0);
-
-/// Turns the stealing scheduler on or off at runtime.
-pub fn set_stealing_enabled(enabled: bool) {
-    STEALING_DISABLED.store(usize::from(!enabled), Ordering::Relaxed);
-}
-
-/// Applies `ET_STEAL` (`0`/`false` disables) to the global toggle.
-///
-/// Env-only fallback: binaries with a command line resolve the toggle via
-/// `et_cli::resolve_toggle_with_default("steal", cli, "ET_STEAL", true)`
-/// instead, so an explicit `--steal`/`--no-steal` flag wins over the
-/// environment with a warning like every other toggle.
-pub fn init_stealing_from_env() {
-    if let Ok(v) = std::env::var("ET_STEAL") {
-        set_stealing_enabled(!(v == "0" || v.eq_ignore_ascii_case("false")));
-    }
-}
 
 #[inline]
 fn pack(r: &Range<usize>) -> u64 {
@@ -86,8 +56,6 @@ pub struct StealStats {
     pub tasks: u64,
     /// Claims taken from a shard other than the worker's own.
     pub steals: u64,
-    /// Claims whose victim shard lives on a different NUMA node.
-    pub remote_tasks: u64,
 }
 
 /// Lock-free pool of index ranges sharded per worker.
@@ -159,20 +127,15 @@ impl StealQueue {
         None
     }
 
-    /// Steals from the victim with the largest remaining range, preferring
-    /// same-node victims. Returns the claimed range and the victim shard.
-    fn steal(&self, thief_shard: usize, nodes: usize) -> Option<(Range<usize>, usize)> {
-        let my_node = numa::node_of_worker(thief_shard, nodes);
+    /// Steals from the victim slot with the largest remaining range.
+    fn steal(&self, thief_shard: usize) -> Option<Range<usize>> {
         loop {
-            // Scan for the largest remaining range, same-node first.
             let mut best: Option<(usize, usize, u64)> = None; // (shard, slot, packed)
             let mut best_len = 0usize;
-            let mut best_local = false;
             for (si, shard) in self.shards.iter().enumerate() {
                 if si == thief_shard {
                     continue;
                 }
-                let local = numa::node_of_worker(si, nodes) == my_node;
                 for (qi, slot) in shard
                     .slots
                     .iter()
@@ -182,15 +145,9 @@ impl StealQueue {
                     let v = slot.load(Ordering::Acquire);
                     let (lo, hi) = unpack(v);
                     let len = hi.saturating_sub(lo);
-                    if len == 0 {
-                        continue;
-                    }
-                    // A same-node victim beats any remote one; within a
-                    // node class, bigger is better.
-                    if (local && !best_local) || (local == best_local && len > best_len) {
+                    if len > best_len {
                         best = Some((si, qi, v));
                         best_len = len;
-                        best_local = local;
                     }
                 }
             }
@@ -209,7 +166,7 @@ impl StealQueue {
                 .compare_exchange(observed, next, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                return Some((claim, si));
+                return Some(claim);
             }
             // Lost the race — rescan; the pool shrinks monotonically so
             // this terminates.
@@ -218,8 +175,7 @@ impl StealQueue {
 }
 
 /// Splits a flat task list into `shards` contiguous groups (consecutive
-/// tasks per shard, so each shard covers a contiguous index region — the
-/// property NUMA first-touch placement relies on).
+/// tasks per shard, so each shard covers a contiguous index region).
 pub fn shard_tasks(tasks: Vec<Range<usize>>, shards: usize) -> Vec<Vec<Range<usize>>> {
     let shards = shards.max(1);
     let per = tasks.len().div_ceil(shards).max(1);
@@ -242,8 +198,8 @@ pub fn shard_tasks(tasks: Vec<Range<usize>>, shards: usize) -> Vec<Vec<Range<usi
 /// Runs `body` over every range in `shard_tasks` with work stealing, one
 /// logical worker per shard. Each worker gets its own accumulator from
 /// `new_acc`; the per-worker accumulators are returned in shard order along
-/// with steal telemetry (also emitted as `sched.steals` / `sched.remote_tasks`
-/// / `sched.tasks` counters when tracing is on).
+/// with steal telemetry (also emitted as `sched.steals` /
+/// `sched.tasks` counters when tracing is on).
 ///
 /// Ranges may execute on any worker in any order — callers must only use
 /// this for order-insensitive bodies (commutative scatter, local collection
@@ -258,27 +214,20 @@ pub fn execute<R: Send>(
     if workers == 0 {
         return (Vec::new(), StealStats::default());
     }
-    let nodes = numa::placement_nodes();
     let tasks = AtomicU64::new(0);
     let steals = AtomicU64::new(0);
-    let remote = AtomicU64::new(0);
     let mut accs: Vec<R> = (0..workers)
         .into_par_iter()
         .map(|w| {
             let mut acc = new_acc();
-            let my_node = numa::node_of_worker(w, nodes);
             let mut done = 0u64;
             let mut stolen = 0u64;
-            let mut far = 0u64;
             loop {
                 if let Some(r) = queue.pop_local(w) {
                     body(&mut acc, r);
                     done += 1;
-                } else if let Some((r, victim)) = queue.steal(w, nodes) {
+                } else if let Some(r) = queue.steal(w) {
                     stolen += 1;
-                    if numa::node_of_worker(victim, nodes) != my_node {
-                        far += 1;
-                    }
                     body(&mut acc, r);
                     done += 1;
                 } else {
@@ -287,7 +236,6 @@ pub fn execute<R: Send>(
             }
             tasks.fetch_add(done, Ordering::Relaxed);
             steals.fetch_add(stolen, Ordering::Relaxed);
-            remote.fetch_add(far, Ordering::Relaxed);
             acc
         })
         .collect();
@@ -295,12 +243,10 @@ pub fn execute<R: Send>(
     let stats = StealStats {
         tasks: tasks.into_inner(),
         steals: steals.into_inner(),
-        remote_tasks: remote.into_inner(),
     };
     if et_obs::enabled() {
         et_obs::counter_add("sched.tasks", stats.tasks);
         et_obs::counter_add("sched.steals", stats.steals);
-        et_obs::counter_add("sched.remote_tasks", stats.remote_tasks);
     }
     (accs, stats)
 }
@@ -399,15 +345,6 @@ mod tests {
         let (claims, stats) = collect_claims(vec![vec![0..MIN_GRAIN]]);
         assert_eq!(claims, vec![0..MIN_GRAIN]);
         assert_eq!(stats.tasks, 1);
-    }
-
-    #[test]
-    fn toggle_roundtrip() {
-        assert!(stealing_enabled());
-        set_stealing_enabled(false);
-        assert!(!stealing_enabled());
-        set_stealing_enabled(true);
-        assert!(stealing_enabled());
     }
 
     #[test]

@@ -109,7 +109,7 @@ impl ServeMetrics {
 /// Where `/reload` re-reads the serving state from.
 #[derive(Clone, Debug)]
 pub struct ReloadSpec {
-    /// Graph file (`.txt` / `.bin` / `.binz`).
+    /// Graph file (`.txt` / `.bin`).
     pub graph: PathBuf,
     /// Index file (`.etidx`).
     pub index: PathBuf,

@@ -8,12 +8,12 @@
 //! * [`intersect`] — sorted-set intersection kernels (merge, binary-probe,
 //!   galloping) with an adaptive dispatcher,
 //! * [`support`] — the merge-based Support kernel over an
-//!   [`et_graph::EdgeIndexedGraph`] (one intersection per edge; kept as the
-//!   test oracle and the "Original" timing reference),
+//!   [`et_graph::EdgeIndexedGraph`] (one intersection per edge, no auxiliary
+//!   structure: the pipeline's pick on degree-balanced graphs, the test
+//!   oracle and the "Original" timing reference),
 //! * [`oriented`] — the triangle-once Support kernel over the degree-ordered
-//!   DAG of [`et_graph::OrientedGraph`] (default in the pipeline),
-//! * [`cover`] — the cover-edge Support kernel (BFS-level cover set, each
-//!   triangle enumerated exactly once, no orientation pass),
+//!   DAG of [`et_graph::OrientedGraph`] (the pipeline's pick on skewed
+//!   graphs),
 //! * [`count`] — global triangle counting (node- and edge-iterator),
 //! * [`enumerate`] — per-edge triangle enumeration used by the SpNode /
 //!   SpEdge kernels: breakable, trussness-filtered (k-triangle connectivity,
@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod count;
-pub mod cover;
 pub mod enumerate;
 pub mod intersect;
 pub mod oriented;
@@ -31,7 +30,6 @@ pub mod simd;
 pub mod support;
 
 pub use count::{count_triangles, count_triangles_per_vertex};
-pub use cover::compute_support_cover;
 pub use enumerate::{
     for_each_pivot_triangle_of_edge, for_each_triangle_of_edge, for_each_truss_triangle_of_edge,
     try_for_each_triangle_of_edge,

@@ -22,7 +22,7 @@
 //! distributions where fixed-size chunks idle the pool.
 
 use crate::intersect::intersect_matches;
-use et_graph::{numa, schedule, steal, Advice, EdgeIndexedGraph, OrientedGraph};
+use et_graph::{schedule, steal, Advice, EdgeIndexedGraph, OrientedGraph};
 use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -78,9 +78,6 @@ pub fn compute_support_with_oriented(
 ) -> Vec<u32> {
     let m = graph.num_edges();
     let support: Vec<AtomicU32> = (0..m).map(|_| AtomicU32::new(0)).collect();
-    // Every worker scatters into the support slab; spread its pages across
-    // nodes instead of leaving them all on the allocating socket.
-    numa::interleave_region(&support);
     let num_arcs = oriented.num_arcs();
     let work = arc_work(oriented);
     let tasks = schedule::ranges_from_work(
@@ -132,14 +129,8 @@ pub fn compute_support_with_oriented(
     };
 
     // The scatter commutes (relaxed atomic adds), so ranges may run on any
-    // worker in any order: with stealing on, node-affine shards absorb
-    // work-estimate error; with it off, the plain work-quantile wave runs.
-    if steal::stealing_enabled() {
-        let shards = steal::shard_tasks(tasks, rayon::current_num_threads().max(1));
-        steal::execute(shards, || (), |_, r| run_range(r));
-    } else {
-        tasks.into_par_iter().for_each(run_range);
-    }
+    // worker in any order: stealing absorbs work-estimate error.
+    steal::execute_flat(tasks, run_range);
 
     support.into_iter().map(AtomicU32::into_inner).collect()
 }

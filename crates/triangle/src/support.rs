@@ -5,8 +5,10 @@
 //! with rayon. Because adjacency lists are sorted and the edge table is
 //! dense, each edge's support is computed independently — embarrassingly
 //! parallel, deterministic regardless of thread count. The cost is that each
-//! triangle is intersected three times, once per edge; the triangle-once
-//! [`crate::oriented`] kernel is the faster default, with this kernel kept as
+//! triangle is intersected three times, once per edge, which the
+//! triangle-once [`crate::oriented`] kernel avoids at the price of building a
+//! DAG first: that trade wins on skewed graphs and loses on degree-balanced
+//! ones, so the pipeline picks between the two per graph. This kernel is also
 //! the oracle and the "Original" breakdown's timing reference.
 
 use crate::intersect::intersect_count;

@@ -6,11 +6,9 @@
 //! peeled at level `l` get trussness `l + 2`. The output is identical to the
 //! serial decomposition because truss decomposition is unique.
 //!
-//! Two engineering choices distinguish the default path from the textbook
-//! version (kept as [`decompose_parallel_scan_with_support`] for the
-//! before/after benchmark):
+//! Two engineering choices distinguish this from the textbook version:
 //!
-//! * **Bucket-queue frontier seeding.** The scan version rescans all *m*
+//! * **Bucket-queue frontier seeding.** The textbook loop rescans all *m*
 //!   edges once per support level to find the level's initial frontier —
 //!   O(m·max_sup) wasted scans on skewed graphs. Here edges are bucketed by
 //!   support up front; every decrement lazily re-queues the edge in its new
@@ -27,10 +25,10 @@
 //! decrement).
 
 use crate::TrussDecomposition;
-use et_graph::{numa, schedule, steal, EdgeId, EdgeIndexedGraph};
+use et_graph::{schedule, steal, EdgeId, EdgeIndexedGraph};
 use et_triangle::{compute_support_oriented, for_each_triangle_of_edge};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 
 /// Packed per-edge peel state: edge is in the round currently processing.
 const IN_CUR: u8 = 1;
@@ -54,11 +52,13 @@ const SMALL_FRONTIER: usize = 256;
 /// estimate error, not enough to drown short rounds in task overhead.
 const PEEL_TASKS_PER_THREAD: usize = 4;
 
-/// Parallel level-synchronous truss decomposition.
+/// Parallel level-synchronous truss decomposition over the oriented Support
+/// kernel — the standalone entry point (`et-dynamic`'s per-update recompute,
+/// `equitruss stats`, `CommunityIndex::build`); the index pipeline runs its
+/// own Support pick and calls [`decompose_parallel_with_support`].
 ///
 /// When tracing is enabled, the two kernels show up as `Support` and
-/// `TrussDecomp` spans — this entry point is what the CLI build path calls,
-/// so it carries the same span names the pipeline's timed slots use.
+/// `TrussDecomp` spans, the names the pipeline's timed slots use.
 pub fn decompose_parallel(graph: &EdgeIndexedGraph) -> TrussDecomposition {
     let support = {
         let _span = et_obs::span("Support");
@@ -97,11 +97,6 @@ pub fn decompose_parallel_with_support(
     let support: Vec<AtomicU32> = support.into_iter().map(AtomicU32::new).collect();
     let state: Vec<AtomicU8> = (0..m).map(|_| AtomicU8::new(0)).collect();
     let trussness: Vec<AtomicU32> = (0..m).map(|_| AtomicU32::new(0)).collect();
-    // Every peel round hammers these three slabs from all workers; under
-    // --numa, interleave their pages instead of leaving them on one socket.
-    numa::interleave_region(&support);
-    numa::interleave_region(&state);
-    numa::interleave_region(&trussness);
 
     let tracing = et_obs::enabled();
     let wave = et_obs::wave("PeelFrontier");
@@ -155,22 +150,6 @@ pub fn decompose_parallel_with_support(
             // round's frontier, exactly-once via the floor-hitting CAS);
             // `moved` collects edges whose support dropped but stayed above
             // the floor, for lazy bucket repair at level end.
-            // Work-aware task cuts: weight each frontier edge by its
-            // intersection cost (degree sum), so a round dominated by a few
-            // hub edges still spreads across the pool instead of stalling
-            // behind one fixed-size chunk that drew all the hubs.
-            let tasks = if frontier.len() <= SMALL_FRONTIER {
-                std::iter::once(0..frontier.len()).collect()
-            } else {
-                schedule::balanced_ranges(
-                    frontier.len(),
-                    schedule::default_tasks_per_thread(frontier.len(), PEEL_TASKS_PER_THREAD),
-                    |i| {
-                        let (u, v) = graph.endpoints(frontier[i]);
-                        1 + graph.degree(u) as u64 + graph.degree(v) as u64
-                    },
-                )
-            };
             let process = |acc: &mut (Vec<EdgeId>, Vec<EdgeId>), job: std::ops::Range<usize>| {
                 let _task = wave.task();
                 for &e in &frontier[job] {
@@ -209,21 +188,26 @@ pub fn decompose_parallel_with_support(
             // floor CAS / MOVED bit), so which worker runs which range never
             // changes the outcome — safe to hand to the stealing scheduler
             // when a round is big enough to be worth rebalancing.
-            let parts: Vec<(Vec<EdgeId>, Vec<EdgeId>)> =
-                if steal::stealing_enabled() && tasks.len() > 1 {
-                    let shards = steal::shard_tasks(tasks, rayon::current_num_threads().max(1));
-                    let (accs, _) = steal::execute(shards, Default::default, process);
-                    accs
-                } else {
-                    tasks
-                        .into_par_iter()
-                        .map(|job| {
-                            let mut acc = (Vec::new(), Vec::new());
-                            process(&mut acc, job);
-                            acc
-                        })
-                        .collect()
-                };
+            let parts: Vec<(Vec<EdgeId>, Vec<EdgeId>)> = if frontier.len() <= SMALL_FRONTIER {
+                let mut acc = Default::default();
+                process(&mut acc, 0..frontier.len());
+                vec![acc]
+            } else {
+                // Work-aware task cuts: weight each frontier edge by its
+                // intersection cost (degree sum), so a round dominated by a
+                // few hub edges still spreads across the pool instead of
+                // stalling behind one fixed-size chunk that drew all the hubs.
+                let tasks = schedule::balanced_ranges(
+                    frontier.len(),
+                    schedule::default_tasks_per_thread(frontier.len(), PEEL_TASKS_PER_THREAD),
+                    |i| {
+                        let (u, v) = graph.endpoints(frontier[i]);
+                        1 + graph.degree(u) as u64 + graph.degree(v) as u64
+                    },
+                );
+                let shards = steal::shard_tasks(tasks, rayon::current_num_threads().max(1));
+                steal::execute(shards, Default::default, process).0
+            };
 
             // Retire the round.
             frontier.par_iter().for_each(|&e| {
@@ -324,126 +308,6 @@ fn decrement(
     }
 }
 
-/// The pre-bucket-queue peeling loop: rescans all `m` edges once per support
-/// level to seed frontiers, with separate `processed`/`in_cur` bool arrays.
-///
-/// Kept byte-for-byte as the predecessor so the `truss` criterion bench can
-/// measure scan vs. bucket seeding on the same inputs; not used by the
-/// pipeline.
-pub fn decompose_parallel_scan(graph: &EdgeIndexedGraph) -> TrussDecomposition {
-    let support = compute_support_oriented(graph);
-    decompose_parallel_scan_with_support(graph, support)
-}
-
-/// Scan-seeded parallel peeling given a precomputed support vector (the
-/// predecessor of [`decompose_parallel_with_support`]).
-pub fn decompose_parallel_scan_with_support(
-    graph: &EdgeIndexedGraph,
-    support: Vec<u32>,
-) -> TrussDecomposition {
-    let m = graph.num_edges();
-    if m == 0 {
-        return TrussDecomposition::new(Vec::new());
-    }
-    let max_sup = support.iter().copied().max().unwrap_or(0);
-    let support: Vec<AtomicU32> = support.into_iter().map(AtomicU32::new).collect();
-    let processed: Vec<AtomicBool> = (0..m).map(|_| AtomicBool::new(false)).collect();
-    let in_cur: Vec<AtomicBool> = (0..m).map(|_| AtomicBool::new(false)).collect();
-    let trussness: Vec<AtomicU32> = (0..m).map(|_| AtomicU32::new(0)).collect();
-
-    let mut remaining = m;
-    let mut level: u32 = 0;
-    while remaining > 0 && level <= max_sup {
-        // Initial frontier for this level: alive edges at exactly `level`.
-        let mut frontier: Vec<EdgeId> = (0..m as u32)
-            .into_par_iter()
-            .filter(|&e| {
-                !processed[e as usize].load(Ordering::Relaxed)
-                    && support[e as usize].load(Ordering::Relaxed) == level
-            })
-            .collect();
-
-        while !frontier.is_empty() {
-            for &e in &frontier {
-                in_cur[e as usize].store(true, Ordering::Relaxed);
-            }
-            let next: Vec<EdgeId> = frontier
-                .par_iter()
-                .fold(Vec::new, |mut acc, &e| {
-                    for_each_triangle_of_edge(graph, e, |_, e1, e2| {
-                        let (i1, i2) = (e1 as usize, e2 as usize);
-                        if processed[i1].load(Ordering::Relaxed)
-                            || processed[i2].load(Ordering::Relaxed)
-                        {
-                            return;
-                        }
-                        let c1 = in_cur[i1].load(Ordering::Relaxed);
-                        let c2 = in_cur[i2].load(Ordering::Relaxed);
-                        match (c1, c2) {
-                            (true, true) => {}
-                            (true, false) => {
-                                if e < e1 {
-                                    decrement_scan(&support[i2], level, e2, &mut acc);
-                                }
-                            }
-                            (false, true) => {
-                                if e < e2 {
-                                    decrement_scan(&support[i1], level, e1, &mut acc);
-                                }
-                            }
-                            (false, false) => {
-                                decrement_scan(&support[i1], level, e1, &mut acc);
-                                decrement_scan(&support[i2], level, e2, &mut acc);
-                            }
-                        }
-                    });
-                    acc
-                })
-                .reduce(Vec::new, |mut a, mut b| {
-                    a.append(&mut b);
-                    a
-                });
-
-            frontier.par_iter().for_each(|&e| {
-                let i = e as usize;
-                trussness[i].store(level + 2, Ordering::Relaxed);
-                processed[i].store(true, Ordering::Relaxed);
-                in_cur[i].store(false, Ordering::Relaxed);
-            });
-            remaining -= frontier.len();
-            frontier = next;
-        }
-        level += 1;
-    }
-
-    TrussDecomposition::new(
-        trussness
-            .into_iter()
-            .map(|a| a.into_inner())
-            .collect::<Vec<u32>>(),
-    )
-}
-
-/// Floor-clamped decrement of the scan-seeded predecessor.
-#[inline]
-fn decrement_scan(slot: &AtomicU32, floor: u32, e: EdgeId, acc: &mut Vec<EdgeId>) {
-    let mut cur = slot.load(Ordering::Relaxed);
-    loop {
-        if cur <= floor {
-            return;
-        }
-        match slot.compare_exchange_weak(cur, cur - 1, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => {
-                if cur - 1 == floor {
-                    acc.push(e);
-                }
-                return;
-            }
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,27 +337,6 @@ mod tests {
     fn matches_serial_on_collaboration_graph() {
         let g = EdgeIndexedGraph::new(et_gen::overlapping_cliques(300, 60, (3, 8), 100, 4));
         assert_eq!(decompose_serial(&g), decompose_parallel(&g));
-    }
-
-    #[test]
-    fn scan_seeding_matches_bucket_seeding() {
-        for f in fixtures::all_fixtures() {
-            let eg = EdgeIndexedGraph::new(f.graph.clone());
-            assert_eq!(
-                decompose_parallel(&eg),
-                decompose_parallel_scan(&eg),
-                "fixture {}",
-                f.name
-            );
-        }
-        for seed in 0..6 {
-            let g = EdgeIndexedGraph::new(et_gen::rmat_small(8, 8, seed));
-            assert_eq!(
-                decompose_parallel(&g),
-                decompose_parallel_scan(&g),
-                "rmat seed {seed}"
-            );
-        }
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! chrome-trace export must carry one span per kernel plus the algorithm
 //! counters each variant promises.
 
-use parallel_equitruss::equitruss::{build_index, Variant};
+use parallel_equitruss::equitruss::{
+    build_index, build_index_with_options, Schedule, SupportKernel, Variant,
+};
 use parallel_equitruss::graph::EdgeIndexedGraph;
 use parallel_equitruss::obs;
 use rayon::prelude::*;
@@ -229,7 +231,14 @@ fn wave_occupancy_metrics_cover_the_pipeline() {
     let eg = test_graph();
     obs::set_enabled(true);
     obs::reset();
-    build_index(&eg, Variant::Afforest);
+    // The oriented arm is pinned: it is the Support kernel that runs as a
+    // wave (the default pick on this balanced graph is the flat merge).
+    build_index_with_options(
+        &eg,
+        Variant::Afforest,
+        SupportKernel::Oriented,
+        Schedule::default(),
+    );
     obs::set_enabled(false);
     let snap = obs::snapshot();
     obs::reset();

@@ -13,9 +13,7 @@ use parallel_equitruss::graph::{EdgeIndexedGraph, GraphBuilder};
 use parallel_equitruss::triangle::{
     compute_support, compute_support_oriented, compute_support_serial,
 };
-use parallel_equitruss::truss::parallel::{
-    decompose_parallel_scan_with_support, decompose_parallel_with_support,
-};
+use parallel_equitruss::truss::parallel::decompose_parallel_with_support;
 use parallel_equitruss::truss::{brute_force_trussness, decompose_parallel, decompose_serial};
 use proptest::prelude::*;
 
@@ -57,11 +55,8 @@ proptest! {
     }
 
     #[test]
-    fn bucket_and_scan_peeling_agree(graph in arb_graph()) {
-        let support = compute_support(&graph);
-        let bucket = decompose_parallel_with_support(&graph, support.clone());
-        let scan = decompose_parallel_scan_with_support(&graph, support);
-        prop_assert_eq!(&bucket, &scan);
+    fn bucket_peeling_matches_serial(graph in arb_graph()) {
+        let bucket = decompose_parallel_with_support(&graph, compute_support(&graph));
         prop_assert_eq!(&bucket, &decompose_serial(&graph));
     }
 

@@ -1,13 +1,13 @@
-//! Scheduling-layer acceptance tests: support and trussness must be
-//! bit-identical across NUMA placement on/off, work stealing on/off, and
-//! 1/4/8 threads (the scatter is commutative and the peel accumulators are
-//! deduplicated sets, so worker assignment can never change the output),
-//! and the `Auto` support kernel must pick the measured-best concrete
-//! kernel on the bench suite's graph shapes.
+//! Support-selection and scheduling acceptance tests: the selecting Support
+//! arm picks merge on a degree-balanced mesh and oriented on a skewed graph,
+//! and whatever it picks — and however the stealing scheduler deals the
+//! work — support and trussness equal the serial references at 1/4/8
+//! threads (the scatter is commutative and the peel accumulators are
+//! deduplicated sets, so worker assignment can never change the output).
 
 use parallel_equitruss::equitruss::SupportKernel;
 use parallel_equitruss::gen;
-use parallel_equitruss::graph::{numa, steal, EdgeIndexedGraph};
+use parallel_equitruss::graph::{CsrGraph, EdgeIndexedGraph};
 use parallel_equitruss::{triangle, truss};
 
 fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
@@ -18,87 +18,77 @@ fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
         .install(f)
 }
 
-/// The full toggle × thread matrix lives in ONE test because the NUMA and
-/// stealing switches are process globals — splitting the combinations into
-/// separate `#[test]`s would let the harness run them concurrently and race
-/// on the toggles.
-#[test]
-fn support_and_trussness_are_invariant_under_scheduling_choices() {
-    let g = EdgeIndexedGraph::new(gen::overlapping_cliques(2_000, 300, (4, 14), 4_000, 7));
-    let reference_support = triangle::compute_support_oriented(&g);
-    let reference_truss = truss::decompose_parallel(&g);
+/// The two `bench_e2e` build shapes at test size: a triangulated grid
+/// (`mesh-build`) and R-MAT with planted cliques (`social-build`).
+fn mesh() -> EdgeIndexedGraph {
+    EdgeIndexedGraph::new(gen::triangulated_grid(60))
+}
 
-    for numa_on in [false, true] {
-        for steal_on in [false, true] {
-            numa::set_numa_enabled(numa_on);
-            steal::set_stealing_enabled(steal_on);
-            if numa_on {
-                // No-op on a single-node box; pins worker→node elsewhere.
-                numa::pin_rayon_workers();
-            }
-            for threads in [1usize, 4, 8] {
-                let s = in_pool(threads, || triangle::compute_support_oriented(&g));
+fn social() -> EdgeIndexedGraph {
+    EdgeIndexedGraph::new(gen::rmat_with_cliques(
+        gen::RmatConfig::graph500(11, 9, 7),
+        60,
+        (4, 10),
+    ))
+}
+
+#[test]
+fn default_kernel_picks_merge_on_a_mesh_and_oriented_on_a_skewed_graph() {
+    assert_eq!(
+        SupportKernel::Default.resolve(&mesh()),
+        SupportKernel::Merge,
+        "triangulated grid"
+    );
+    assert_eq!(
+        SupportKernel::Default.resolve(&social()),
+        SupportKernel::Oriented,
+        "R-MAT + cliques"
+    );
+}
+
+#[test]
+fn every_support_arm_equals_the_serial_kernel_at_every_pool_width() {
+    let cases = [
+        ("mesh", mesh()),
+        ("social", social()),
+        ("empty", EdgeIndexedGraph::new(CsrGraph::empty(0))),
+        ("edgeless", EdgeIndexedGraph::new(CsrGraph::empty(10))),
+    ];
+    for (name, g) in &cases {
+        let reference = triangle::compute_support_serial(g);
+        for threads in [1usize, 4, 8] {
+            for kernel in SupportKernel::ALL {
                 assert_eq!(
-                    s, reference_support,
-                    "support differs: numa={numa_on} steal={steal_on} threads={threads}"
-                );
-                let d = in_pool(threads, || truss::decompose_parallel(&g));
-                assert_eq!(
-                    d, reference_truss,
-                    "trussness differs: numa={numa_on} steal={steal_on} threads={threads}"
+                    in_pool(threads, || kernel.compute(g)),
+                    reference,
+                    "{name}: {} support differs at {threads} threads",
+                    kernel.name()
                 );
             }
         }
     }
-
-    // Restore the process defaults for any test that runs after this one.
-    numa::set_numa_enabled(false);
-    steal::set_stealing_enabled(true);
 }
 
-/// `Auto` must resolve to the kernel the measured `BENCH_support.json`
-/// matrix names as the winner on each of the four bench shapes (quick
-/// scale — the shape statistics behind the decision are scale-stable).
 #[test]
-fn auto_kernel_picks_the_measured_winner_on_the_bench_shapes() {
-    let (scale, n, noise) = (13, 8_000, 16_000);
-    let cases: Vec<(&str, EdgeIndexedGraph, SupportKernel)> = vec![
-        (
-            "rmat",
-            EdgeIndexedGraph::new(gen::rmat_small(scale, 8, 42)),
-            SupportKernel::Oriented,
-        ),
-        (
-            "cliques",
-            EdgeIndexedGraph::new(gen::overlapping_cliques(n, 1_200, (4, 14), noise, 7)),
-            SupportKernel::Merge,
-        ),
-        (
-            "cliques-dense",
-            EdgeIndexedGraph::new(gen::overlapping_cliques(n, 60, (4, 60), noise, 7)),
-            SupportKernel::Merge,
-        ),
-        (
-            "near-regular",
-            EdgeIndexedGraph::new(gen::gnm(n, n * 8, 21)),
-            SupportKernel::CoverEdge,
-        ),
-    ];
-    for (name, g, expected) in &cases {
-        let got = SupportKernel::Auto.resolve(g);
-        assert_eq!(
-            got,
-            *expected,
-            "{name}: auto picked {}, measured winner is {}",
-            got.name(),
-            expected.name()
-        );
-        // And the resolved kernel agrees with the reference on the support
-        // values themselves.
-        assert_eq!(
-            SupportKernel::Auto.compute(g),
-            triangle::compute_support_oriented(g),
-            "{name}: auto support disagrees with oriented"
-        );
+fn trussness_equals_the_serial_peel_at_every_pool_width() {
+    for (name, g) in [("mesh", mesh()), ("social", social())] {
+        let reference = truss::decompose_serial(&g);
+        for threads in [1usize, 4, 8] {
+            let peeled = in_pool(threads, || {
+                truss::parallel::decompose_parallel_with_support(
+                    &g,
+                    SupportKernel::Default.compute(&g),
+                )
+            });
+            assert_eq!(
+                peeled, reference,
+                "{name}: trussness differs at {threads} threads"
+            );
+            assert_eq!(
+                in_pool(threads, || truss::decompose_parallel(&g)),
+                reference,
+                "{name}: decompose_parallel differs at {threads} threads"
+            );
+        }
     }
 }
