@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use et_core::afforest::{spnode_group_afforest, AfforestSpNodeConfig};
 use et_core::baseline::{spnode_group_baseline, EdgeDict};
 use et_core::coptimal::spnode_group_coptimal;
+use et_core::engine::TrussRowViews;
 use et_core::PhiGroups;
 use et_graph::EdgeIndexedGraph;
 use std::hint::black_box;
@@ -29,6 +30,11 @@ fn fresh_parent(m: usize) -> Vec<AtomicU32> {
     (0..m as u32).map(AtomicU32::new).collect()
 }
 
+/// The rows the pipeline hands the CSR variants, grown group by group.
+fn fresh_rows(p: &Prepared) -> TrussRowViews<'_> {
+    TrussRowViews::new(&p.graph, &p.tau, p.phi.indexed_edges())
+}
+
 fn bench_spnode_variants(c: &mut Criterion) {
     let mut group = c.benchmark_group("spnode");
     group.sample_size(10);
@@ -48,8 +54,10 @@ fn bench_spnode_variants(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("coptimal", name), &p, |b, p| {
             b.iter(|| {
                 let parent = fresh_parent(m);
+                let mut rows = fresh_rows(p);
                 for (k, group) in p.phi.iter() {
-                    spnode_group_coptimal(&p.graph, &p.tau, k, group, &parent);
+                    rows.advance(k, group.len());
+                    spnode_group_coptimal(rows.for_k(k), &p.tau, k, group, &parent);
                 }
                 black_box(parent.len())
             })
@@ -57,9 +65,11 @@ fn bench_spnode_variants(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("afforest", name), &p, |b, p| {
             b.iter(|| {
                 let parent = fresh_parent(m);
+                let mut rows = fresh_rows(p);
                 for (k, group) in p.phi.iter() {
+                    rows.advance(k, group.len());
                     spnode_group_afforest(
-                        &p.graph,
+                        rows.for_k(k),
                         &p.tau,
                         k,
                         group,
@@ -87,8 +97,10 @@ fn bench_afforest_partner_rounds(c: &mut Criterion) {
             };
             b.iter(|| {
                 let parent = fresh_parent(m);
+                let mut rows = fresh_rows(&p);
                 for (k, group) in p.phi.iter() {
-                    spnode_group_afforest(&p.graph, &p.tau, k, group, &parent, cfg);
+                    rows.advance(k, group.len());
+                    spnode_group_afforest(rows.for_k(k), &p.tau, k, group, &parent, cfg);
                 }
                 black_box(parent.len())
             })

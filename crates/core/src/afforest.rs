@@ -24,7 +24,7 @@
 
 use crate::engine::CsrTriangleView;
 use et_cc::engine::{afforest_edge_components, AfforestPolicy};
-use et_graph::{EdgeId, EdgeIndexedGraph};
+use et_graph::{EdgeId, RowView};
 use std::sync::atomic::AtomicU32;
 
 /// Tuning knobs of the edge-entity Afforest.
@@ -52,14 +52,14 @@ impl Default for AfforestSpNodeConfig {
 /// Runs Afforest supernode construction for one Φ_k group over the shared
 /// atomic Π array.
 pub fn spnode_group_afforest(
-    graph: &EdgeIndexedGraph,
+    rows: &RowView<'_>,
     trussness: &[u32],
     k: u32,
     phi_k: &[EdgeId],
     parent: &[AtomicU32],
     config: AfforestSpNodeConfig,
 ) {
-    let view = CsrTriangleView::new(graph, trussness, k);
+    let view = CsrTriangleView::new(rows, trussness, k);
     afforest_edge_components(
         &view,
         phi_k,
@@ -78,13 +78,14 @@ mod tests {
     use super::*;
     use crate::coptimal::spnode_group_coptimal;
     use crate::phi::PhiGroups;
+    use et_graph::EdgeIndexedGraph;
     use et_truss::decompose_serial;
 
     fn run_afforest(eg: &EdgeIndexedGraph, tau: &[u32], cfg: AfforestSpNodeConfig) -> Vec<u32> {
         let phi = PhiGroups::build(tau);
         let parent: Vec<AtomicU32> = (0..eg.num_edges() as u32).map(AtomicU32::new).collect();
         for (k, group) in phi.iter() {
-            spnode_group_afforest(eg, tau, k, group, &parent, cfg);
+            spnode_group_afforest(&RowView::of(eg), tau, k, group, &parent, cfg);
         }
         parent.into_iter().map(|a| a.into_inner()).collect()
     }
@@ -93,7 +94,7 @@ mod tests {
         let phi = PhiGroups::build(tau);
         let parent: Vec<AtomicU32> = (0..eg.num_edges() as u32).map(AtomicU32::new).collect();
         for (k, group) in phi.iter() {
-            spnode_group_coptimal(eg, tau, k, group, &parent);
+            spnode_group_coptimal(&RowView::of(eg), tau, k, group, &parent);
         }
         parent.into_iter().map(|a| a.into_inner()).collect()
     }

@@ -15,18 +15,18 @@
 
 use crate::engine::CsrTriangleView;
 use et_cc::engine::{sv_edge_components, SvPolicy};
-use et_graph::{EdgeId, EdgeIndexedGraph};
+use et_graph::{EdgeId, RowView};
 use std::sync::atomic::AtomicU32;
 
 /// Runs C-Optimal SV hooking/shortcut rounds for one Φ_k group.
 pub fn spnode_group_coptimal(
-    graph: &EdgeIndexedGraph,
+    rows: &RowView<'_>,
     trussness: &[u32],
     k: u32,
     phi_k: &[EdgeId],
     parent: &[AtomicU32],
 ) {
-    let view = CsrTriangleView::new(graph, trussness, k);
+    let view = CsrTriangleView::new(rows, trussness, k);
     sv_edge_components(&view, phi_k, parent, SvPolicy { skip_equal: true });
 }
 
@@ -35,13 +35,14 @@ mod tests {
     use super::*;
     use crate::baseline::{spnode_group_baseline, EdgeDict};
     use crate::phi::PhiGroups;
+    use et_graph::EdgeIndexedGraph;
     use et_truss::decompose_serial;
 
     fn run_coptimal(eg: &EdgeIndexedGraph, tau: &[u32]) -> Vec<u32> {
         let phi = PhiGroups::build(tau);
         let parent: Vec<AtomicU32> = (0..eg.num_edges() as u32).map(AtomicU32::new).collect();
         for (k, group) in phi.iter() {
-            spnode_group_coptimal(eg, tau, k, group, &parent);
+            spnode_group_coptimal(&RowView::of(eg), tau, k, group, &parent);
         }
         parent.into_iter().map(|a| a.into_inner()).collect()
     }

@@ -10,7 +10,9 @@
 //!   triangle edge (the deliberately kept inefficiency of Algorithm 2);
 //! * [`CsrTriangleView`] — C-Optimal's **per-arc CSR edge-id arrays**: ids
 //!   ride along the neighborhood merge for free, reducing the search space
-//!   to the adjacency list (§3.3). Afforest shares this layout.
+//!   to the adjacency list (§3.3). Afforest shares this layout. Its rows are
+//!   a [`RowView`]; [`TrussRowViews`] hands each Φ_k group rows filtered to
+//!   the edges that can still form a k-triangle.
 //!
 //! [`spnode_group`] is the variant dispatcher the pipeline schedules — under
 //! either the sequential per-k loop or the wave scheduler.
@@ -18,9 +20,9 @@
 use crate::baseline::EdgeDict;
 use crate::pipeline::Variant;
 use et_cc::engine::TriangleAdjacency;
-use et_graph::{EdgeId, EdgeIndexedGraph, VertexId};
+use et_graph::{EdgeId, EdgeIndexedGraph, RowView, VertexId};
 use et_triangle::intersect::merge_intersect_into;
-use et_triangle::try_for_each_triangle_of_edge;
+use et_triangle::try_for_each_triangle_in_rows;
 use std::cell::RefCell;
 use std::ops::ControlFlow;
 use std::sync::atomic::AtomicU32;
@@ -105,20 +107,21 @@ pub fn same_k_partners(
 /// C-Optimal edge-id resolution: the trussness-filtered triangle enumeration
 /// whose edge ids come from the per-arc CSR arrays in lockstep with the
 /// neighborhood merge.
+///
+/// `rows` may be the graph's rows or any view filtered to `τ ≥ t` with
+/// `t ≤ k`: [`same_k_partners`] rejects every triangle with an edge below
+/// `k`, so the arcs such a view drops never contributed a partner and the
+/// partner sequence of every edge is the same over either.
 pub struct CsrTriangleView<'a> {
-    graph: &'a EdgeIndexedGraph,
+    rows: &'a RowView<'a>,
     trussness: &'a [u32],
     k: u32,
 }
 
 impl<'a> CsrTriangleView<'a> {
-    /// A view of the Φ_k edge-induced graph over the CSR arc-eid arrays.
-    pub fn new(graph: &'a EdgeIndexedGraph, trussness: &'a [u32], k: u32) -> Self {
-        CsrTriangleView {
-            graph,
-            trussness,
-            k,
-        }
+    /// A view of the Φ_k edge-induced graph over the arc-eid arrays of `rows`.
+    pub fn new(rows: &'a RowView<'a>, trussness: &'a [u32], k: u32) -> Self {
+        CsrTriangleView { rows, trussness, k }
     }
 }
 
@@ -127,33 +130,111 @@ impl TriangleAdjacency for CsrTriangleView<'_> {
     where
         F: FnMut(u32) -> ControlFlow<()>,
     {
-        try_for_each_triangle_of_edge(self.graph, e, |_, e1, e2| {
+        try_for_each_triangle_in_rows(self.rows, e, |_, e1, e2| {
             same_k_partners(self.trussness, self.k, e1, e2, &mut f)
         })
     }
 }
 
+/// A new τ ≥ k view is built once 1/this of the edges the newest view kept
+/// lie below `k`: each view is at most ¾ of the one before, so all of them
+/// together copy less than 4× the CSR. Swept on `social-build`
+/// (EXPERIMENTS.md "PR 14"): `core.spnode_ms` 65 at ½, 57 at ¼, 61 at ⅛.
+const VIEW_SHRINK_DEN: usize = 4;
+
+/// The row views SpNode's Φ_k groups read, for ascending `k`: the graph's
+/// rows first, then one view filtered to `τ ≥ k` each time the edges at or
+/// above `k` have shrunk by a quarter since the newest view. A group reads
+/// the newest view whose threshold is at most its `k`
+/// ([`CsrTriangleView`] says why that changes no partner sequence). A graph
+/// with one group keeps the graph's rows only.
+pub struct TrussRowViews<'a> {
+    graph: &'a EdgeIndexedGraph,
+    trussness: &'a [u32],
+    /// `(threshold, rows)` in ascending threshold; entry 0 is `(0, graph rows)`.
+    views: Vec<(u32, RowView<'a>)>,
+    /// Edges the newest view keeps.
+    newest_alive: usize,
+    /// Edges with trussness at or above the next `k` to be offered.
+    alive: usize,
+}
+
+impl<'a> TrussRowViews<'a> {
+    /// The graph's rows alone; [`TrussRowViews::advance`] adds the rest.
+    /// `indexed` is the number of edges in all Φ_k groups together.
+    pub fn new(graph: &'a EdgeIndexedGraph, trussness: &'a [u32], indexed: usize) -> Self {
+        TrussRowViews {
+            graph,
+            trussness,
+            views: vec![(0, RowView::of(graph))],
+            newest_alive: graph.num_edges(),
+            alive: indexed,
+        }
+    }
+
+    /// Offers the next non-empty group, in ascending `k`, before it runs:
+    /// builds the `τ ≥ k` view when enough of the newest view lies below `k`.
+    pub fn advance(&mut self, k: u32, group_len: usize) {
+        let alive = self.alive;
+        self.alive -= group_len;
+        if (self.newest_alive - alive) * VIEW_SHRINK_DEN < self.newest_alive {
+            return;
+        }
+        let _span = et_obs::span("SpNodeViews").arg("k", u64::from(k));
+        let tau = self.trussness;
+        let (_, newest) = self.views.last().expect("entry 0 is never removed");
+        let view = newest.filtered(|e| tau[e as usize] >= k);
+        et_obs::counter_add("spnode.views", 1);
+        et_obs::record_value("spnode.view_arcs", view.num_arcs() as u64);
+        self.views.push((k, view));
+        self.newest_alive = alive;
+    }
+
+    /// The graph the views filter.
+    pub fn graph(&self) -> &'a EdgeIndexedGraph {
+        self.graph
+    }
+
+    /// The trussness the views filter by.
+    pub fn trussness(&self) -> &'a [u32] {
+        self.trussness
+    }
+
+    /// Filtered views built so far.
+    pub fn built(&self) -> usize {
+        self.views.len() - 1
+    }
+
+    /// The rows group `k` reads: the newest view with threshold ≤ `k`.
+    pub fn for_k(&self, k: u32) -> &RowView<'a> {
+        let newer = self.views.partition_point(|&(threshold, _)| threshold <= k);
+        &self.views[newer - 1].1
+    }
+}
+
 /// Runs supernode construction for one Φ_k group with the chosen variant's
-/// policies (`dict` must be `Some` for [`Variant::Baseline`]).
+/// policies (`dict` must be `Some` for [`Variant::Baseline`], which reads the
+/// graph's rows through it; the CSR variants read `rows.for_k(k)`).
 pub fn spnode_group(
-    graph: &EdgeIndexedGraph,
+    rows: &TrussRowViews<'_>,
     dict: Option<&EdgeDict>,
-    trussness: &[u32],
     k: u32,
     phi_k: &[EdgeId],
     parent: &[AtomicU32],
     variant: Variant,
 ) {
+    let trussness = rows.trussness();
     match variant {
         Variant::Baseline => {
             let dict = dict.expect("dictionary built for Baseline");
+            let graph = rows.graph();
             crate::baseline::spnode_group_baseline(graph, dict, trussness, k, phi_k, parent);
         }
         Variant::COptimal => {
-            crate::coptimal::spnode_group_coptimal(graph, trussness, k, phi_k, parent);
+            crate::coptimal::spnode_group_coptimal(rows.for_k(k), trussness, k, phi_k, parent);
         }
         Variant::Afforest => crate::afforest::spnode_group_afforest(
-            graph,
+            rows.for_k(k),
             trussness,
             k,
             phi_k,
@@ -178,10 +259,11 @@ mod tests {
             let eg = EdgeIndexedGraph::new(f.graph.clone());
             let tau = decompose_serial(&eg).trussness;
             let dict = EdgeDict::build(&eg);
+            let rows = RowView::of(&eg);
             let kmax = tau.iter().copied().max().unwrap_or(0);
             for k in 3..=kmax {
                 let dv = DictTriangleView::new(&eg, &dict, &tau, k);
-                let cv = CsrTriangleView::new(&eg, &tau, k);
+                let cv = CsrTriangleView::new(&rows, &tau, k);
                 for e in 0..eg.num_edges() as u32 {
                     if tau[e as usize] != k {
                         continue;
@@ -196,12 +278,17 @@ mod tests {
         }
     }
 
+    fn partners<V: TriangleAdjacency>(view: &V, e: u32) -> Vec<u32> {
+        let mut all = Vec::new();
+        view.for_each_partner(e, |p| all.push(p));
+        all
+    }
+
     /// Breaks `view`'s enumeration of `e` after 1, 2, 3, half and all of its
     /// partners; each time exactly that prefix of `for_each_partner`'s
     /// sequence must have been visited. Returns the partner count.
     fn assert_breaks_visit_prefixes<V: TriangleAdjacency>(view: &V, e: u32) -> usize {
-        let mut all = Vec::new();
-        view.for_each_partner(e, |p| all.push(p));
+        let all = partners(view, e);
         for stop in [1, 2, 3, all.len() / 2, all.len()] {
             if stop == 0 || stop > all.len() {
                 continue;
@@ -221,7 +308,8 @@ mod tests {
         all.len()
     }
 
-    /// Both views, on edges whose endpoint degrees sit on either side of
+    /// Both views — the CSR one over the graph's rows and over rows filtered
+    /// to τ ≥ k — on edges whose endpoint degrees sit on either side of
     /// `GALLOP_RATIO` (so the merge and the gallop kernels both run), with
     /// the SIMD kernels off and — in a `--features simd` build — on.
     #[test]
@@ -242,15 +330,22 @@ mod tests {
         let eg = EdgeIndexedGraph::new(b.build());
         let tau = decompose_serial(&eg).trussness;
         let dict = EdgeDict::build(&eg);
+        let rows = RowView::of(&eg);
         for simd_on in [false, true] {
             et_triangle::set_simd_enabled(simd_on);
             let (mut merged, mut galloped) = (0usize, 0usize);
+            // Every edge with a triangle is a K5 edge: one τ ≥ 5 view serves all.
+            let live = rows.filtered(|x| tau[x as usize] >= 5);
             for e in (0..eg.num_edges() as u32).filter(|&e| tau[e as usize] >= 3) {
                 let k = tau[e as usize];
-                let cv = CsrTriangleView::new(&eg, &tau, k);
+                assert_eq!(k, 5);
+                let cv = CsrTriangleView::new(&rows, &tau, k);
+                let lv = CsrTriangleView::new(&live, &tau, k);
                 let dv = DictTriangleView::new(&eg, &dict, &tau, k);
                 assert_eq!(assert_breaks_visit_prefixes(&cv, e), 6);
+                assert_eq!(assert_breaks_visit_prefixes(&lv, e), 6);
                 assert_eq!(assert_breaks_visit_prefixes(&dv, e), 6);
+                assert_eq!(partners(&lv, e), partners(&cv, e));
                 let (u, v) = eg.endpoints(e);
                 let (du, dv) = (eg.degree(u), eg.degree(v));
                 if du.max(dv) / du.min(dv) >= GALLOP_RATIO {
@@ -275,13 +370,72 @@ mod tests {
             let m = eg.num_edges() as u32;
             let a: Vec<AtomicU32> = (0..m).map(AtomicU32::new).collect();
             let b: Vec<AtomicU32> = (0..m).map(AtomicU32::new).collect();
+            let rows = TrussRowViews::new(&eg, &tau, phi.indexed_edges());
             for (k, group) in phi.iter() {
-                spnode_group(&eg, Some(&dict), &tau, k, group, &a, variant);
-                spnode_group(&eg, Some(&dict), &tau, k, group, &b, variant);
+                spnode_group(&rows, Some(&dict), k, group, &a, variant);
+                spnode_group(&rows, Some(&dict), k, group, &b, variant);
             }
             let la: Vec<u32> = a.iter().map(|x| x.load(Ordering::Relaxed)).collect();
             let lb: Vec<u32> = b.iter().map(|x| x.load(Ordering::Relaxed)).collect();
             assert!(et_cc::same_partition(&la, &lb), "{}", variant.name());
         }
+    }
+
+    /// On every fixture and every k, each Φ_k edge has the same partner
+    /// sequence over the graph's rows, over rows filtered to τ ≥ k, and over
+    /// whatever view [`TrussRowViews`] hands group k.
+    #[test]
+    fn truss_filtered_rows_keep_every_partner_sequence() {
+        for f in et_gen::fixtures::all_fixtures() {
+            let eg = EdgeIndexedGraph::new(f.graph.clone());
+            let tau = decompose_serial(&eg).trussness;
+            let phi = crate::phi::PhiGroups::build(&tau);
+            let graph_rows = RowView::of(&eg);
+            let mut ladder = TrussRowViews::new(&eg, &tau, phi.indexed_edges());
+            for (k, group) in phi.iter() {
+                ladder.advance(k, group.len());
+                let live = graph_rows.filtered(|e| tau[e as usize] >= k);
+                let over_graph = CsrTriangleView::new(&graph_rows, &tau, k);
+                let over_live = CsrTriangleView::new(&live, &tau, k);
+                let over_ladder = CsrTriangleView::new(ladder.for_k(k), &tau, k);
+                for &e in group {
+                    let expect = partners(&over_graph, e);
+                    assert_eq!(partners(&over_live, e), expect, "{}: k={k} e={e}", f.name);
+                    assert_eq!(partners(&over_ladder, e), expect, "{}: k={k} e={e}", f.name);
+                }
+            }
+        }
+    }
+
+    /// Nested cliques thin the groups out fast enough for several views; a
+    /// group always reads the newest view at or below its k, and a
+    /// single-group graph never gets one.
+    #[test]
+    fn row_views_follow_the_shrinking_groups() {
+        let f = et_gen::fixtures::nested_cliques(16, &[(50, 2), (20, 4), (10, 8)]);
+        let eg = EdgeIndexedGraph::new(f.graph);
+        let tau = decompose_serial(&eg).trussness;
+        let phi = crate::phi::PhiGroups::build(&tau);
+        let mut ladder = TrussRowViews::new(&eg, &tau, phi.indexed_edges());
+        let mut alive = phi.indexed_edges();
+        for (k, group) in phi.iter() {
+            ladder.advance(k, group.len());
+            // The view group k reads still holds every τ ≥ k arc.
+            assert!(ladder.for_k(k).num_arcs() >= 2 * alive, "k={k}");
+            alive -= group.len();
+        }
+        assert!(ladder.built() >= 3, "built {}", ladder.built());
+        assert!(!ladder.for_k(3).is_filtered());
+        let kmax = phi.max_trussness();
+        assert_eq!(ladder.for_k(kmax).num_arcs(), 2 * phi.phi(kmax).len());
+
+        let eg = EdgeIndexedGraph::new(et_gen::triangulated_grid(12));
+        let tau = decompose_serial(&eg).trussness;
+        let phi = crate::phi::PhiGroups::build(&tau);
+        let mut ladder = TrussRowViews::new(&eg, &tau, phi.indexed_edges());
+        for (k, group) in phi.iter() {
+            ladder.advance(k, group.len());
+        }
+        assert_eq!(ladder.built(), 0);
     }
 }

@@ -28,7 +28,7 @@
 //! the advice to rebuild it.
 
 use crate::hierarchy::TrussHierarchy;
-use crate::index::SuperGraph;
+use crate::index::{SuperGraph, NO_SUPERNODE};
 use et_graph::{Backend, Buf};
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -510,35 +510,53 @@ pub fn read_index_info<P: AsRef<Path>>(path: P) -> Result<IndexFileInfo, IndexIo
     })
 }
 
-/// Structural sanity after a load — rejects truncated or tampered files.
+/// Structural sanity after a load — rejects truncated or tampered files
+/// before any slice is taken through an offset or an id read from the file.
 fn validate_loaded(index: &SuperGraph, trussness: &[u32]) -> Result<(), IndexIoError> {
     let num_sn = index.sn_trussness.len();
-    let corrupt = |m: &str| Err(IndexIoError::Corrupt(m.to_string()));
+    let corrupt = |m: String| Err(IndexIoError::Corrupt(m));
     if index.sn_offsets.len() != num_sn + 1 || index.adj_offsets.len() != num_sn + 1 {
-        return corrupt("offset array length");
+        return corrupt("offset array length".into());
     }
     if index.edge_supernode.len() != trussness.len() {
-        return corrupt("edge_supernode / trussness length mismatch");
+        return corrupt("edge_supernode / trussness length mismatch".into());
     }
-    if *index.sn_offsets.last().unwrap_or(&0) != index.sn_members.len() {
-        return corrupt("member offsets do not cover members");
+    for (name, offsets, covered) in [
+        ("member", &index.sn_offsets, index.sn_members.len()),
+        ("adjacency", &index.adj_offsets, index.adj_targets.len()),
+    ] {
+        if offsets[0] != 0 {
+            return corrupt(format!("{name} offsets start at {}, not 0", offsets[0]));
+        }
+        if let Some(i) = offsets.windows(2).position(|w| w[0] > w[1]) {
+            return corrupt(format!("{name} offsets decrease after supernode {i}"));
+        }
+        if offsets[num_sn] != covered {
+            return corrupt(format!(
+                "{name} offsets end at {}, the array holds {covered}",
+                offsets[num_sn]
+            ));
+        }
     }
-    if *index.adj_offsets.last().unwrap_or(&0) != index.adj_targets.len() {
-        return corrupt("adjacency offsets do not cover targets");
-    }
+    let out_of_range = |ids: &[u32], bound: usize, skip: Option<u32>| {
+        ids.iter()
+            .position(|&x| Some(x) != skip && x as usize >= bound)
+    };
     if index
         .superedges
         .iter()
         .any(|&(a, b)| a as usize >= num_sn || b as usize >= num_sn)
     {
-        return corrupt("superedge endpoint out of range");
+        return corrupt("superedge endpoint out of range".into());
     }
-    if index
-        .sn_members
-        .iter()
-        .any(|&e| e as usize >= trussness.len())
-    {
-        return corrupt("member edge id out of range");
+    if let Some(i) = out_of_range(&index.sn_members, trussness.len(), None) {
+        return corrupt(format!("member {i}: edge id out of range"));
+    }
+    if let Some(e) = out_of_range(&index.edge_supernode, num_sn, Some(NO_SUPERNODE)) {
+        return corrupt(format!("edge {e}: supernode out of range"));
+    }
+    if let Some(i) = out_of_range(&index.adj_targets, num_sn, None) {
+        return corrupt(format!("adjacency target {i}: supernode out of range"));
     }
     Ok(())
 }
@@ -728,6 +746,78 @@ mod tests {
             read_index_with_hierarchy_with(&path, Backend::Mapped),
             Err(IndexIoError::Corrupt(_))
         ));
+    }
+
+    /// Every byte of the two offset arrays (and of the supernode-id arrays
+    /// the offsets are used with), flipped one bit pattern at a time: a load
+    /// is refused with a located `Corrupt`, or every slice the index and the
+    /// hierarchy hand out can be taken — never a panic, on either backend.
+    #[test]
+    fn flipped_offset_and_id_bytes_are_rejected_or_harmless() {
+        let g = EdgeIndexedGraph::new(et_gen::fixtures::paper_example().graph.clone());
+        let tau = et_truss::decompose_parallel(&g).trussness;
+        let built = build_index(&g, Variant::Afforest).index;
+        let path = tmp("flip-offsets.etidx");
+        write_index(&built, &tau, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+
+        // Section layout: an 8-byte length, the payload, padding to 8 bytes.
+        let u32_section = |len: usize| 8 + len * 4 + pad_for(len * 4);
+        let u64_section = |len: usize| 8 + len * 8;
+        let num_sn = built.num_supernodes();
+        let sn_offsets_at = 8 + u32_section(tau.len()) + u32_section(num_sn);
+        let sn_members_at = sn_offsets_at + u64_section(num_sn + 1);
+        let edge_supernode_at = sn_members_at + u32_section(built.sn_members.len());
+        let superedges_at = edge_supernode_at + u32_section(tau.len());
+        let adj_offsets_at = superedges_at + u64_section(built.num_superedges());
+        let adj_targets_at = adj_offsets_at + u64_section(num_sn + 1);
+        let hierarchy_at = adj_targets_at + u32_section(built.adj_targets.len());
+        assert!(hierarchy_at < bytes.len());
+
+        let (mut refused, mut loaded_ok) = (0usize, 0usize);
+        let flipped = tmp("flip-offsets-mutated.etidx");
+        for pos in (sn_offsets_at..sn_members_at)
+            .chain(edge_supernode_at..superedges_at)
+            .chain(adj_offsets_at..hierarchy_at)
+        {
+            for mask in [0x01u8, 0x40, 0xFF] {
+                let mut mutated = bytes.clone();
+                mutated[pos] ^= mask;
+                std::fs::write(&flipped, &mutated).unwrap();
+                for backend in [Backend::Owned, Backend::Mapped] {
+                    match read_index_with_hierarchy_with(&flipped, backend) {
+                        Err(IndexIoError::Corrupt(m)) => {
+                            assert!(!m.is_empty());
+                            refused += 1;
+                        }
+                        Err(e) => panic!("byte {pos} ^ {mask:#x}: {e}"),
+                        Ok((index, trussness, hierarchy)) => {
+                            assert_eq!(index.edge_supernode.len(), trussness.len());
+                            for sn in 0..index.num_supernodes() as u32 {
+                                for &e in index.members(sn) {
+                                    assert!((e as usize) < trussness.len());
+                                }
+                                for &t in index.neighbors(sn) {
+                                    assert!((t as usize) < index.num_supernodes());
+                                }
+                            }
+                            for e in 0..trussness.len() as u32 {
+                                if let Some(sn) = index.supernode_of(e) {
+                                    assert!((sn as usize) < index.num_supernodes());
+                                }
+                            }
+                            assert!(hierarchy.num_nodes() >= index.num_supernodes());
+                            loaded_ok += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // Interior offsets are covered, not only the last entry of each array.
+        assert!(
+            refused > 0 && loaded_ok > 0,
+            "{refused} refused, {loaded_ok} loaded"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   per-k loop.
 
 use crate::baseline::EdgeDict;
-use crate::engine::spnode_group;
+use crate::engine::{spnode_group, TrussRowViews};
 use crate::hierarchy::TrussHierarchy;
 use crate::index::SuperGraph;
 use crate::phi::PhiGroups;
@@ -291,14 +291,24 @@ pub fn build_index_with_decomposition_scheduled(
         }
     }
 
+    // SpNode's rows: the graph's, then τ ≥ k views as the groups thin out,
+    // built inside the SpNode slots below (the views are that kernel's cost)
+    // and dropped with the last SpNode group. The Baseline reads the graph's
+    // rows through its dictionary and gets none.
+    let spnode_rows = || TrussRowViews::new(graph, tau, phi.indexed_edges());
+    let filters_rows = variant != Variant::Baseline;
     let subsets: Vec<Vec<RootPair>> = match schedule {
         Schedule::PerK => {
             // The paper's loop: per ascending k, SpNode then SpEdge on the
             // same Φ_k.
             let mut subsets = Vec::new();
+            let mut rows = spnode_rows();
             for (k, group) in phi.iter() {
                 timed_phase_k(timings, Kernel::SpNode, "SpNode", k, || {
-                    spnode_group(graph, dict.as_ref(), tau, k, group, &parent, variant);
+                    if filters_rows {
+                        rows.advance(k, group.len());
+                    }
+                    spnode_group(&rows, dict.as_ref(), k, group, &parent, variant);
                 });
                 timed_phase_k(timings, Kernel::SpEdge, "SpEdge", k, || {
                     spedge_group(graph, tau, k, group, &parent, &mut subsets);
@@ -315,11 +325,17 @@ pub fn build_index_with_decomposition_scheduled(
             // Φ_k cells never reference other groups — so the nested
             // par_iters just feed one work-stealing pool.
             timed_phase(timings, Kernel::SpNode, "SpNodeWave", || {
+                let mut rows = spnode_rows();
+                if filters_rows {
+                    for &(k, group) in &groups {
+                        rows.advance(k, group.len());
+                    }
+                }
                 let wave = et_obs::wave("SpNodeWave");
                 groups.par_iter().for_each(|&(k, group)| {
                     let _task = wave.task();
                     let _span = et_obs::span("SpNode").arg("k", u64::from(k));
-                    spnode_group(graph, dict.as_ref(), tau, k, group, &parent, variant);
+                    spnode_group(&rows, dict.as_ref(), k, group, &parent, variant);
                 });
             });
 

@@ -212,6 +212,7 @@ mod tests {
     use super::*;
     use crate::coptimal::spnode_group_coptimal;
     use crate::phi::PhiGroups;
+    use et_graph::RowView;
     use et_truss::decompose_serial;
 
     /// Builds Π and collects all superedge candidates for a graph.
@@ -221,7 +222,7 @@ mod tests {
         let parent: Vec<AtomicU32> = (0..eg.num_edges() as u32).map(AtomicU32::new).collect();
         let mut subsets = Vec::new();
         for (k, group) in phi.iter() {
-            spnode_group_coptimal(eg, &tau, k, group, &parent);
+            spnode_group_coptimal(&RowView::of(eg), &tau, k, group, &parent);
             spedge_group(eg, &tau, k, group, &parent, &mut subsets);
         }
         (
@@ -288,7 +289,7 @@ mod tests {
             let phi = PhiGroups::build(&tau);
             let parent: Vec<AtomicU32> = (0..eg.num_edges() as u32).map(AtomicU32::new).collect();
             for (k, group) in phi.iter() {
-                spnode_group_coptimal(&eg, &tau, k, group, &parent);
+                spnode_group_coptimal(&RowView::of(&eg), &tau, k, group, &parent);
             }
             for threads in [1usize, 4] {
                 let (algorithm_3, once) = rayon::ThreadPoolBuilder::new()

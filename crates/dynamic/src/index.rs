@@ -311,6 +311,7 @@ mod tests {
         let base = EdgeIndexedGraph::new(et_gen::overlapping_cliques(120, 25, (3, 7), 40, 3));
         let tau = et_truss::decompose_parallel(&base).trussness;
         let graph = DynamicGraph::from_indexed(&base);
+        let rows = et_graph::RowView::of(&base);
         for e in 0..base.num_edges() as u32 {
             let k = tau[e as usize];
             if k < 3 {
@@ -324,7 +325,7 @@ mod tests {
             let mut all = Vec::new();
             view.for_each_partner(e, |p| all.push(p));
             let mut stat = Vec::new();
-            et_core::engine::CsrTriangleView::new(&base, &tau, k)
+            et_core::engine::CsrTriangleView::new(&rows, &tau, k)
                 .for_each_partner(e, |p| stat.push(p));
             assert_eq!(all, stat, "edge {e}");
             for stop in 1..=all.len() {

@@ -252,6 +252,42 @@ pub fn clique_chain(count: usize, size: usize) -> TrussFixture {
     }
 }
 
+/// A K`core` on vertices `0..core` with shells of leaves hung on it: each of
+/// a shell's `count` leaves is adjacent to the first `attach` core vertices
+/// (`attach < core`), closing a K`attach+1` nested inside the core's vertex
+/// set. A leaf edge lies in `attach − 1` triangles, all inside that clique, so
+/// its trussness is `attach + 1`; no leaf edge can sustain more, so core edges
+/// keep trussness `core`. The first core vertices are hubs whose rows are
+/// mostly leaves of lower trussness than the core — the shape on which the
+/// peel and SpNode drop dead arcs from their rows, one shell at a time.
+pub fn nested_cliques(core: usize, shells: &[(usize, usize)]) -> TrussFixture {
+    let mut edges = Vec::new();
+    for u in 0..core as VertexId {
+        for v in (u + 1)..core as VertexId {
+            edges.push((u, v, core as u32));
+        }
+    }
+    let mut leaf = core as VertexId;
+    for &(count, attach) in shells {
+        assert!(attach < core, "a leaf on the whole core would grow it");
+        for _ in 0..count {
+            for c in 0..attach as VertexId {
+                edges.push((c, leaf, attach as u32 + 1));
+            }
+            leaf += 1;
+        }
+    }
+    TrussFixture {
+        name: "nested_cliques",
+        graph: GraphBuilder::from_edges(
+            leaf as usize,
+            &edges.iter().map(|&(u, v, _)| (u, v)).collect::<Vec<_>>(),
+        )
+        .build(),
+        trussness: edges,
+    }
+}
+
 /// All fixtures with complete expected trussness, for table-driven tests.
 pub fn all_fixtures() -> Vec<TrussFixture> {
     vec![
@@ -262,6 +298,8 @@ pub fn all_fixtures() -> Vec<TrussFixture> {
         triangle_strip(6),
         bipartite(3, 4),
         clique_chain(3, 5),
+        // Each shell is over a quarter of what the shells before it leave.
+        nested_cliques(16, &[(50, 2), (20, 4), (10, 8)]),
     ]
 }
 

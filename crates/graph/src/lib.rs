@@ -17,6 +17,9 @@
 //! * [`OrientedGraph`] — a degree-ordered DAG view with per-arc edge ids:
 //!   every triangle appears exactly once, powering the triangle-once Support
 //!   kernel in `et-triangle`.
+//! * [`RowView`] — the adjacency rows a per-edge triangle enumeration reads:
+//!   the graph's own, or an owned copy with dead arcs filtered out (the live
+//!   rows of the peel and of SpNode).
 //! * [`GraphBuilder`] — canonicalizes arbitrary edge lists (symmetrize,
 //!   dedup, drop self-loops) into a [`CsrGraph`].
 //!
@@ -44,6 +47,7 @@ pub mod io;
 pub mod ordering;
 pub mod oriented;
 pub mod packed;
+pub mod rows;
 pub mod schedule;
 pub mod stats;
 pub mod steal;
@@ -55,6 +59,7 @@ pub use csr::CsrGraph;
 pub use edge_index::EdgeIndexedGraph;
 pub use edgelist::EdgeList;
 pub use oriented::OrientedGraph;
+pub use rows::RowView;
 pub use stats::{GraphStats, ShapeStats};
 pub use steal::StealStats;
 

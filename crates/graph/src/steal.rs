@@ -306,7 +306,7 @@ mod tests {
     fn cross_shard_stealing_covers_everything() {
         // Shard 1 is empty: its worker must steal all of shard 0's work
         // under the sequential test pool, exercising the split CAS path.
-        let tasks = vec![0..10_000];
+        let tasks: Vec<Range<usize>> = std::iter::once(0..10_000).collect();
         let (claims, stats) = collect_claims(vec![tasks.clone(), vec![]]);
         assert_exact_cover(&claims, &tasks);
         // At least one claim came through the steal path only when a second
@@ -322,7 +322,7 @@ mod tests {
         let flat: Vec<Range<usize>> = shards.into_iter().flatten().collect();
         assert_eq!(flat, tasks);
         // More shards than tasks: trailing shards are empty but present.
-        let shards = shard_tasks(vec![0..1], 4);
+        let shards = shard_tasks(std::iter::once(0..1).collect(), 4);
         assert_eq!(shards.len(), 4);
         assert_eq!(shards[0], vec![0..1]);
     }

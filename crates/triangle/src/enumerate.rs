@@ -6,33 +6,43 @@
 //! variant gets those ids for free by merging the two CSR rows and their
 //! aligned per-arc edge-id arrays in lockstep — this module is that kernel.
 
-use et_graph::{EdgeId, EdgeIndexedGraph, VertexId};
+use et_graph::{EdgeId, EdgeIndexedGraph, RowView, VertexId};
 use std::ops::ControlFlow;
 
-/// Invokes `f(w, e1, e2)` for every triangle `{e, (u,w), (v,w)}` containing
-/// edge `e = (u, v)`, where `e1 = id(u, w)` and `e2 = id(v, w)`, in ascending
-/// `w` order until `f` breaks: the triangles seen before a break are a prefix
-/// of those [`for_each_triangle_of_edge`] reports.
+/// Invokes `f(w, e1, e2)` for every triangle `{e, (u,w), (v,w)}` of edge
+/// `e = (u, v)` whose arcs are all in `rows`, where `e1 = id(u, w)` and
+/// `e2 = id(v, w)`, in ascending `w` order until `f` breaks: the triangles
+/// seen before a break are a prefix of the unbroken enumeration. Over a
+/// filtered view that is the parent view's sequence with the triangles
+/// touching a dropped edge removed.
 ///
-/// Cost: one adaptive intersection of `N(u)` and `N(v)` — merge, gallop, or
+/// Cost: one adaptive intersection of the two rows — merge, gallop, or
 /// their SIMD variants per [`crate::intersect::try_intersect_matches`]; no
 /// hashing, no per-match binary search; the per-arc edge ids ride along via
 /// the reported index pairs.
 #[inline]
+pub fn try_for_each_triangle_in_rows<F>(rows: &RowView<'_>, e: EdgeId, mut f: F) -> ControlFlow<()>
+where
+    F: FnMut(VertexId, EdgeId, EdgeId) -> ControlFlow<()>,
+{
+    let (u, v) = rows.endpoints(e);
+    let (nu, eu) = rows.row(u);
+    let (nv, ev) = rows.row(v);
+    crate::intersect::try_intersect_matches(nu, nv, |i, j| f(nu[i], eu[i], ev[j]))
+}
+
+/// [`try_for_each_triangle_in_rows`] over the graph's own rows: every
+/// triangle containing edge `e`.
+#[inline]
 pub fn try_for_each_triangle_of_edge<F>(
     graph: &EdgeIndexedGraph,
     e: EdgeId,
-    mut f: F,
+    f: F,
 ) -> ControlFlow<()>
 where
     F: FnMut(VertexId, EdgeId, EdgeId) -> ControlFlow<()>,
 {
-    let (u, v) = graph.endpoints(e);
-    let nu = graph.neighbors(u);
-    let nv = graph.neighbors(v);
-    let eu = graph.arc_eids(u);
-    let ev = graph.arc_eids(v);
-    crate::intersect::try_intersect_matches(nu, nv, |i, j| f(nu[i], eu[i], ev[j]))
+    try_for_each_triangle_in_rows(&RowView::of(graph), e, f)
 }
 
 /// [`try_for_each_triangle_of_edge`] to exhaustion.
@@ -153,6 +163,83 @@ mod tests {
                 assert_eq!(seen, all[..stop], "edge {e} stop {stop}");
             }
         }
+    }
+
+    /// A repeatable pseudo-random edge predicate keeping about `keep_pct` %.
+    fn keeps(seed: u64, keep_pct: u64) -> impl Fn(EdgeId) -> bool + Sync {
+        move |e| {
+            // SplitMix64 finaliser over (seed, e).
+            let mut x = (seed << 32 | u64::from(e)).wrapping_add(0x9E37_79B9_7F4A_7C15);
+            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (x ^ (x >> 31)) % 100 < keep_pct
+        }
+    }
+
+    /// Over random graphs and random edge predicates, with the SIMD kernels
+    /// off and on: a filtered view enumerates, for every edge, the graph's
+    /// triangles minus those touching a dropped edge, in the same order;
+    /// breaking after 1, 2 and half of them visits exactly that prefix; and a
+    /// view filtered from a view is the view filtered from the graph.
+    #[test]
+    fn filtered_rows_enumerate_the_surviving_triangles_in_order() {
+        let graphs = [
+            et_gen::gnm(70, 500, 33),
+            et_gen::gnm(40, 600, 5),
+            et_gen::rmat_small(8, 8, 5),
+            et_gen::overlapping_cliques(120, 25, (3, 7), 40, 3),
+        ];
+        for simd_on in [false, true] {
+            crate::set_simd_enabled(simd_on);
+            for (seed, g) in graphs.iter().enumerate() {
+                let g = EdgeIndexedGraph::new(g.clone());
+                let graph_rows = RowView::of(&g);
+                for keep_pct in [0, 30, 75, 100] {
+                    let keep = keeps(seed as u64, keep_pct);
+                    let coarse = keeps(seed as u64 + 100, 80);
+                    let live = graph_rows.filtered(&keep);
+                    let via_view = graph_rows.filtered(&coarse).filtered(&keep);
+                    let direct = graph_rows.filtered(|e| coarse(e) && keep(e));
+                    for e in 0..g.num_edges() as EdgeId {
+                        let mut expect = Vec::new();
+                        for_each_triangle_of_edge(&g, e, |w, e1, e2| {
+                            if keep(e1) && keep(e2) {
+                                expect.push((w, e1, e2));
+                            }
+                        });
+                        let collect = |rows: &RowView<'_>, stop: usize| {
+                            let mut seen = Vec::new();
+                            let flow = try_for_each_triangle_in_rows(rows, e, |w, e1, e2| {
+                                seen.push((w, e1, e2));
+                                if seen.len() == stop {
+                                    ControlFlow::Break(())
+                                } else {
+                                    ControlFlow::Continue(())
+                                }
+                            });
+                            (seen, flow)
+                        };
+                        let (all, flow) = collect(&live, usize::MAX);
+                        assert!(flow.is_continue());
+                        assert_eq!(all, expect, "seed {seed} keep {keep_pct} edge {e}");
+                        for stop in [1, 2, all.len() / 2] {
+                            if stop == 0 || stop > all.len() {
+                                continue;
+                            }
+                            let (seen, flow) = collect(&live, stop);
+                            assert!(flow.is_break());
+                            assert_eq!(seen, all[..stop], "edge {e} stop {stop}");
+                        }
+                        assert_eq!(
+                            collect(&via_view, usize::MAX).0,
+                            collect(&direct, usize::MAX).0,
+                            "seed {seed} keep {keep_pct} edge {e}: view of a view"
+                        );
+                    }
+                }
+            }
+        }
+        crate::set_simd_enabled(true);
     }
 
     #[test]

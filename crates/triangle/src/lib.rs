@@ -32,7 +32,7 @@ pub mod support;
 pub use count::{count_triangles, count_triangles_per_vertex};
 pub use enumerate::{
     for_each_pivot_triangle_of_edge, for_each_triangle_of_edge, for_each_truss_triangle_of_edge,
-    try_for_each_triangle_of_edge,
+    try_for_each_triangle_in_rows, try_for_each_triangle_of_edge,
 };
 pub use intersect::{set_simd_enabled, simd_active, simd_compiled};
 pub use oriented::{compute_support_oriented, compute_support_with_oriented};

@@ -18,6 +18,13 @@
 //! * **One packed state word per edge.** `processed`/`in_cur`/`queued` live
 //!   as bits of a single `AtomicU8` instead of separate bool arrays, so the
 //!   peel inner loop touches one cache-line stream instead of three.
+//! * **Live rows.** Triangles are enumerated over an [`et_graph::RowView`]
+//!   that starts as the graph's rows and is re-filtered to the unpeeled arcs
+//!   at a level boundary once a quarter of its edges are `PROCESSED`. A
+//!   dropped arc belongs to a peeled edge, and a triangle through a peeled
+//!   edge is exactly what the round's `PROCESSED` early-return discards, so
+//!   decrements, frontiers and τ are those of the static-CSR peel; hub rows
+//!   just stop carrying their peeled leaves into every later intersection.
 //!
 //! The delicate part is triangle double-counting when several edges of one
 //! triangle peel in the same round; the tie-breaking rules below are the
@@ -25,9 +32,10 @@
 //! decrement).
 
 use crate::TrussDecomposition;
-use et_graph::{schedule, steal, EdgeId, EdgeIndexedGraph};
-use et_triangle::{compute_support_oriented, for_each_triangle_of_edge};
+use et_graph::{schedule, steal, EdgeId, EdgeIndexedGraph, RowView};
+use et_triangle::{compute_support_oriented, try_for_each_triangle_in_rows};
 use rayon::prelude::*;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 
 /// Packed per-edge peel state: edge is in the round currently processing.
@@ -46,6 +54,14 @@ const MOVED: u8 = 1 << 3;
 /// Frontier size below which a round runs as one task: the per-task
 /// bookkeeping (range build + wave guard) would dwarf the triangle work.
 const SMALL_FRONTIER: usize = 256;
+
+/// The rows are re-filtered at a level boundary once 1/this of the edges
+/// alive at the last filtering are peeled: each view is at most ¾ of the one
+/// before, so all views together copy less than 4× the CSR, and none is built
+/// before a quarter of the graph is dead. Swept on `social-build`
+/// (EXPERIMENTS.md "PR 14"): `truss.peel_ms` 99 at ½, 91 at ¼, 93 at ⅛, 100
+/// when every level compacts.
+const COMPACT_DEAD_DEN: usize = 4;
 
 /// Tasks per worker for a peel round. Rounds repeat thousands of times, so
 /// the multiplier is lower than the Support kernel's: enough slack to absorb
@@ -69,14 +85,20 @@ pub fn decompose_parallel(graph: &EdgeIndexedGraph) -> TrussDecomposition {
 }
 
 /// Parallel peeling when the Support kernel already ran: bucket-queue
-/// frontier seeding (no per-level full scans) with a packed state word.
+/// frontier seeding (no per-level full scans) with a packed state word, over
+/// live rows.
 pub fn decompose_parallel_with_support(
     graph: &EdgeIndexedGraph,
     support: Vec<u32>,
 ) -> TrussDecomposition {
+    peel(graph, support).0
+}
+
+/// The peel, and how many times it re-filtered its rows.
+fn peel(graph: &EdgeIndexedGraph, support: Vec<u32>) -> (TrussDecomposition, u64) {
     let m = graph.num_edges();
     if m == 0 {
-        return TrussDecomposition::new(Vec::new());
+        return (TrussDecomposition::new(Vec::new()), 0);
     }
     let max_sup = support.iter().copied().max().unwrap_or(0);
 
@@ -100,6 +122,10 @@ pub fn decompose_parallel_with_support(
 
     let tracing = et_obs::enabled();
     let wave = et_obs::wave("PeelFrontier");
+    let mut rows = RowView::of(graph);
+    // Edges alive when `rows` was built.
+    let mut rows_alive = m;
+    let mut compactions = 0u64;
     let mut levels_with_work = 0u64;
     let mut peel_rounds = 0u64;
     let mut bucket_repairs = 0u64;
@@ -153,12 +179,12 @@ pub fn decompose_parallel_with_support(
             let process = |acc: &mut (Vec<EdgeId>, Vec<EdgeId>), job: std::ops::Range<usize>| {
                 let _task = wave.task();
                 for &e in &frontier[job] {
-                    for_each_triangle_of_edge(graph, e, |_, e1, e2| {
+                    let _ = try_for_each_triangle_in_rows(&rows, e, |_, e1, e2| {
                         let (i1, i2) = (e1 as usize, e2 as usize);
                         let s1 = state[i1].load(Ordering::Relaxed);
                         let s2 = state[i2].load(Ordering::Relaxed);
                         if (s1 | s2) & PROCESSED != 0 {
-                            return;
+                            return ControlFlow::Continue(());
                         }
                         let c1 = s1 & IN_CUR != 0;
                         let c2 = s2 & IN_CUR != 0;
@@ -181,6 +207,7 @@ pub fn decompose_parallel_with_support(
                                 decrement(&support[i2], &state[i2], s2, level, e2, acc);
                             }
                         }
+                        ControlFlow::Continue(())
                     });
                 }
             };
@@ -188,7 +215,11 @@ pub fn decompose_parallel_with_support(
             // floor CAS / MOVED bit), so which worker runs which range never
             // changes the outcome — safe to hand to the stealing scheduler
             // when a round is big enough to be worth rebalancing.
-            let parts: Vec<(Vec<EdgeId>, Vec<EdgeId>)> = if frontier.len() <= SMALL_FRONTIER {
+            let parts: Vec<(Vec<EdgeId>, Vec<EdgeId>)> = if level == 0 {
+                // Support 0: the edge is in no triangle, so there is no row
+                // to intersect and nothing to decrement.
+                Vec::new()
+            } else if frontier.len() <= SMALL_FRONTIER {
                 let mut acc = Default::default();
                 process(&mut acc, 0..frontier.len());
                 vec![acc]
@@ -201,8 +232,8 @@ pub fn decompose_parallel_with_support(
                     frontier.len(),
                     schedule::default_tasks_per_thread(frontier.len(), PEEL_TASKS_PER_THREAD),
                     |i| {
-                        let (u, v) = graph.endpoints(frontier[i]);
-                        1 + graph.degree(u) as u64 + graph.degree(v) as u64
+                        let (u, v) = rows.endpoints(frontier[i]);
+                        1 + rows.degree(u) as u64 + rows.degree(v) as u64
                     },
                 );
                 let shards = steal::shard_tasks(tasks, rayon::current_num_threads().max(1));
@@ -255,18 +286,26 @@ pub fn decompose_parallel_with_support(
             buckets[s as usize].push(e);
         }
         level += 1;
+
+        // Level boundary: no round is running, so `state` is stable and the
+        // unpeeled arcs can be copied out. Between boundaries edges peeled
+        // since the copy stay in the rows and are skipped as before.
+        if remaining > 0 && (rows_alive - remaining) * COMPACT_DEAD_DEN >= rows_alive {
+            let _span = et_obs::span("PeelCompact").arg("level", u64::from(level));
+            rows = rows.filtered(|e| state[e as usize].load(Ordering::Relaxed) & PROCESSED == 0);
+            rows_alive = remaining;
+            compactions += 1;
+            et_obs::record_value("truss.live_arcs", rows.num_arcs() as u64);
+        }
     }
 
     et_obs::counter_add("truss.levels", levels_with_work);
     et_obs::counter_add("truss.peel_rounds", peel_rounds);
     et_obs::counter_add("truss.bucket_repairs", bucket_repairs);
     et_obs::counter_add("truss.scan_skips", scan_skips);
-    TrussDecomposition::new(
-        trussness
-            .into_iter()
-            .map(|a| a.into_inner())
-            .collect::<Vec<u32>>(),
-    )
+    et_obs::counter_add("truss.compactions", compactions);
+    let trussness: Vec<u32> = trussness.into_iter().map(|a| a.into_inner()).collect();
+    (TrussDecomposition::new(trussness), compactions)
 }
 
 /// Atomically decrements `slot` without going below `floor`; if this call is
@@ -353,5 +392,53 @@ mod tests {
         assert!(decompose_parallel(&g).trussness.is_empty());
         let g1 = EdgeIndexedGraph::new(GraphBuilder::from_edges(2, &[(0, 1)]).build());
         assert_eq!(decompose_parallel(&g1).trussness, vec![2]);
+    }
+
+    /// The peel at 1, 4 and 8 threads: τ equals the serial decomposition's
+    /// and the number of row compactions does not depend on the width.
+    /// Returns that number.
+    fn peel_matches_serial_at_every_width(g: &EdgeIndexedGraph, label: &str) -> u64 {
+        let reference = decompose_serial(g);
+        let mut compactions = None;
+        for threads in [1, 4, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("test pool");
+            let (d, built) = pool.install(|| peel(g, et_triangle::compute_support(g)));
+            assert_eq!(d, reference, "{label} at {threads} threads");
+            assert_eq!(*compactions.get_or_insert(built), built, "{label}");
+        }
+        compactions.expect("three widths ran")
+    }
+
+    #[test]
+    fn live_rows_match_serial_on_skewed_graphs() {
+        let rmat = et_gen::rmat_with_cliques(et_gen::RmatConfig::graph500(10, 8, 11), 12, (4, 9));
+        let built = peel_matches_serial_at_every_width(&EdgeIndexedGraph::new(rmat), "rmat");
+        assert!(built >= 1, "a skewed graph compacts its rows");
+
+        // Every shell is more than a quarter of what the shells before it
+        // leave alive, so each shell boundary compacts.
+        let nested = fixtures::nested_cliques(16, &[(50, 2), (20, 4), (10, 8)]);
+        let built =
+            peel_matches_serial_at_every_width(&EdgeIndexedGraph::new(nested.graph), "nested");
+        assert!(built >= 3, "nested cliques compacted {built} times");
+    }
+
+    #[test]
+    fn graphs_without_a_second_level_never_compact() {
+        for (g, label) in [
+            (GraphBuilder::new(0).build(), "empty"),
+            (GraphBuilder::new(5).build(), "edgeless"),
+            (
+                GraphBuilder::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).build(),
+                "path",
+            ),
+            (et_gen::triangulated_grid(24), "grid"),
+        ] {
+            let built = peel_matches_serial_at_every_width(&EdgeIndexedGraph::new(g), label);
+            assert_eq!(built, 0, "{label}");
+        }
     }
 }

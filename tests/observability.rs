@@ -165,6 +165,84 @@ fn bucketed_peeling_emits_counters() {
     assert!(snap.distribution("truss.frontier_len").is_some());
 }
 
+/// On a skewed graph the peel and SpNode re-filter their rows: the counters,
+/// the arcs-kept distributions and the nested spans say so, and the index is
+/// the one an untraced build makes. A mesh (one level, one Φ_k group) builds
+/// no view at all.
+#[test]
+fn live_row_views_are_counted_and_change_nothing() {
+    let _guard = LOCK.lock().unwrap();
+    let skewed = EdgeIndexedGraph::new(parallel_equitruss::gen::rmat_with_cliques(
+        parallel_equitruss::gen::RmatConfig::graph500(11, 8, 3),
+        16,
+        (4, 9),
+    ));
+    for variant in [Variant::COptimal, Variant::Afforest] {
+        obs::set_enabled(false);
+        obs::reset();
+        let plain = build_index(&skewed, variant);
+        obs::set_enabled(true);
+        obs::reset();
+        let traced = build_index(&skewed, variant);
+        obs::set_enabled(false);
+        let snap = obs::snapshot();
+        let events = obs::take_events();
+        obs::reset();
+        assert_eq!(plain.index.canonical(), traced.index.canonical());
+        assert_eq!(plain.hierarchy, traced.hierarchy);
+
+        for (counter, dist, inner, outer) in [
+            (
+                "truss.compactions",
+                "truss.live_arcs",
+                "PeelCompact",
+                "TrussDecomp",
+            ),
+            (
+                "spnode.views",
+                "spnode.view_arcs",
+                "SpNodeViews",
+                "SpNodeWave",
+            ),
+        ] {
+            let built = snap.counter(counter);
+            assert!(built >= 1, "{}: {counter} = {built}", variant.name());
+            let arcs = snap.distribution(dist).expect(dist);
+            assert_eq!(arcs.count, built, "{dist} has one sample per view");
+            // Views only ever shrink, and never below one surviving edge.
+            assert!(arcs.min >= 2 && arcs.max < 2 * skewed.num_edges() as u64);
+            let outer = events.iter().find(|e| e.name == outer).expect(outer);
+            let inner: Vec<_> = events.iter().filter(|e| e.name == inner).collect();
+            assert_eq!(inner.len() as u64, built);
+            for e in inner {
+                assert!(
+                    e.ts >= outer.ts && e.ts + e.dur <= outer.ts + outer.dur,
+                    "{} is not inside {}",
+                    e.name,
+                    outer.name
+                );
+            }
+        }
+    }
+
+    let mesh = EdgeIndexedGraph::new(parallel_equitruss::gen::triangulated_grid(40));
+    obs::set_enabled(true);
+    obs::reset();
+    build_index(&mesh, Variant::Afforest);
+    obs::set_enabled(false);
+    let snap = obs::snapshot();
+    let events = obs::take_events();
+    obs::reset();
+    assert!(snap.counter("truss.levels") > 0);
+    assert_eq!(snap.counter("truss.compactions"), 0);
+    assert_eq!(snap.counter("spnode.views"), 0);
+    assert!(snap.distribution("truss.live_arcs").is_none());
+    assert!(snap.distribution("spnode.view_arcs").is_none());
+    assert!(!events
+        .iter()
+        .any(|e| e.name == "PeelCompact" || e.name == "SpNodeViews"));
+}
+
 #[test]
 fn query_engines_emit_counters_and_spans() {
     let _guard = LOCK.lock().unwrap();
