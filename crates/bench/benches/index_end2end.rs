@@ -1,12 +1,8 @@
 //! End-to-end index construction (the Table 4/5 microbenchmark): full
-//! pipeline per variant, plus the serial Algorithm 1 comparator, plus the
-//! wave vs. per-k schedule comparison on the SpNode/SpEdge phase.
+//! pipeline per variant, plus the serial Algorithm 1 comparator.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use et_core::{
-    build_index, build_index_with_decomposition_scheduled, build_original, KernelTimings, Schedule,
-    Variant,
-};
+use et_core::{build_index, build_original, Variant};
 use std::hint::black_box;
 
 fn bench_end_to_end(c: &mut Criterion) {
@@ -27,34 +23,5 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.finish();
 }
 
-/// Index construction from a fixed decomposition, per schedule: isolates the
-/// wave scheduler's cross-group parallelism from Support/TrussDecomp noise.
-fn bench_schedules(c: &mut Criterion) {
-    let mut group = c.benchmark_group("index_schedule");
-    group.sample_size(10);
-    for name in ["amazon", "dblp"] {
-        let graph = et_bench::dataset(name, 0.25);
-        let decomposition = et_truss::decompose_parallel(&graph);
-        for schedule in Schedule::ALL {
-            group.bench_with_input(BenchmarkId::new(schedule.name(), name), &graph, |b, g| {
-                b.iter(|| {
-                    let mut t = KernelTimings::default();
-                    black_box(
-                        build_index_with_decomposition_scheduled(
-                            g,
-                            &decomposition,
-                            Variant::COptimal,
-                            schedule,
-                            &mut t,
-                        )
-                        .num_supernodes(),
-                    )
-                });
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_end_to_end, bench_schedules);
+criterion_group!(benches, bench_end_to_end);
 criterion_main!(benches);

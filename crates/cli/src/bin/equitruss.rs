@@ -2,7 +2,7 @@
 
 use et_cli::{
     cmd_build, cmd_generate, cmd_info, cmd_query, cmd_query_batch, cmd_stats, parse_variant,
-    resolve_toggle, resolve_toggle_with_default,
+    resolve_toggle,
 };
 use et_graph::Backend;
 use std::path::PathBuf;
@@ -18,10 +18,10 @@ fn usage() -> ! {
          equitruss query <graph> <index.etidx> -v <vertex> -k <level>\n  \
          equitruss query <graph> <index.etidx> --batch <file>\n  \
          equitruss serve <graph> <index.etidx> [--addr HOST:PORT] [--workers N]\n  \
-         \x20               [--cache|--no-cache] [--cache-size N]\n\n\
+         \x20               [--cache-size N]\n\n\
          serve: HTTP/JSON query service (/query /edge /batch /stats /healthz /reload);\n  \
-         \x20      ET_SERVE_ADDR, ET_SERVE_WORKERS, ET_SERVE_CACHE (default on),\n  \
-         \x20      ET_SERVE_CACHE_SIZE are the flags' environment twins\n\n\
+         \x20      ET_SERVE_ADDR, ET_SERVE_WORKERS, ET_SERVE_CACHE_SIZE are the flags'\n  \
+         \x20      environment twins; --cache-size 0 serves without the response cache\n\n\
          options (any command):\n  \
          --mmap                     memory-map .bin graphs and .etidx indexes (zero-copy)\n  \
          ET_MMAP=1                  same as --mmap, via the environment\n  \
@@ -34,7 +34,7 @@ fn usage() -> ! {
 }
 
 /// Flags that take no value (presence alone means \"on\").
-const BOOLEAN_FLAGS: &[&str] = &["mmap", "cache", "no-cache"];
+const BOOLEAN_FLAGS: &[&str] = &["mmap"];
 /// Flags that take the next token as their value.
 const VALUE_FLAGS: &[&str] = &[
     "scale",
@@ -139,8 +139,7 @@ fn main() -> ExitCode {
         "serve" => {
             let graph = args.positional.get(1).unwrap_or_else(|| usage()).clone();
             let index = args.positional.get(2).unwrap_or_else(|| usage()).clone();
-            // Each string/number setting falls back to its ET_SERVE_* twin;
-            // the cache toggle is default-on via the shared resolver.
+            // Each setting falls back to its ET_SERVE_* twin.
             let addr = get_flag("addr")
                 .or_else(|| std::env::var("ET_SERVE_ADDR").ok())
                 .unwrap_or_else(|| "127.0.0.1:7474".to_string());
@@ -148,25 +147,16 @@ fn main() -> ExitCode {
                 .or_else(|| std::env::var("ET_SERVE_WORKERS").ok())
                 .map(|v| v.parse().unwrap_or_else(|_| usage()))
                 .unwrap_or(16);
-            let cli_cache = if args.flags.contains_key("cache") {
-                Some(true)
-            } else if args.flags.contains_key("no-cache") {
-                Some(false)
-            } else {
-                None
-            };
-            let cache_on = resolve_toggle_with_default("cache", cli_cache, "ET_SERVE_CACHE", true);
             let cache_size: usize = get_flag("cache-size")
                 .or_else(|| std::env::var("ET_SERVE_CACHE_SIZE").ok())
                 .map(|v| v.parse().unwrap_or_else(|_| usage()))
                 .unwrap_or(4096);
             let config = et_serve::ServeConfig { addr, workers };
-            let capacity = if cache_on { cache_size } else { 0 };
             match et_cli::start_serve(
                 &PathBuf::from(graph),
                 &PathBuf::from(index),
                 &config,
-                capacity,
+                cache_size,
                 backend,
             ) {
                 Ok(server) => {
@@ -174,7 +164,7 @@ fn main() -> ExitCode {
                         "serving on http://{} ({} workers, cache {})",
                         server.local_addr(),
                         workers,
-                        if cache_on {
+                        if cache_size > 0 {
                             format!("{cache_size} entries")
                         } else {
                             "off".to_string()

@@ -54,27 +54,14 @@ pub fn parse_variant(name: &str) -> Result<Variant, String> {
     }
 }
 
-/// Resolves a boolean runtime toggle from a CLI flag and its environment
-/// variable. The CLI flag wins; when both are present and disagree, a
-/// warning is printed to stderr naming both settings — env vars must never
-/// silently override an explicit flag (or vice versa). Defaults to off when
-/// neither is set; default-on toggles (`ET_SERVE_CACHE=0` disables the
-/// otherwise-on response cache) go through [`resolve_toggle_with_default`].
+/// Resolves a default-off boolean runtime toggle (`--mmap` / `ET_MMAP`) from
+/// a CLI flag and its environment variable. The CLI flag wins; when both are
+/// present and disagree, a warning is printed to stderr naming both settings
+/// — env vars must never silently override an explicit flag (or vice versa).
+/// Env values are parsed strictly — `1`/`true` enables, `0`/`false`
+/// disables, and anything else is warned about and ignored (a typo like
+/// `ET_MMAP=on` must not silently read as a value).
 pub fn resolve_toggle(flag_name: &str, cli: Option<bool>, env_var: &str) -> bool {
-    resolve_toggle_with_default(flag_name, cli, env_var, false)
-}
-
-/// [`resolve_toggle`] with an explicit default, covering both polarities:
-/// default-off opt-ins (`ET_MMAP=1`) and default-on opt-outs
-/// (`ET_SERVE_CACHE=0`). Env values are parsed strictly — `1`/`true` enables,
-/// `0`/`false` disables, and anything else is warned about and ignored (a
-/// typo like `ET_SERVE_CACHE=off` must not silently read as *enabled*).
-pub fn resolve_toggle_with_default(
-    flag_name: &str,
-    cli: Option<bool>,
-    env_var: &str,
-    default: bool,
-) -> bool {
     let env = std::env::var(env_var).ok().and_then(|v| {
         if v == "1" || v.eq_ignore_ascii_case("true") {
             Some(true)
@@ -83,7 +70,7 @@ pub fn resolve_toggle_with_default(
         } else {
             eprintln!(
                 "warning: ignoring {env_var}={v:?}: expected 1/true or 0/false \
-                 (using the default, {flag_name} = {default})"
+                 (using the default, {flag_name} = false)"
             );
             None
         }
@@ -101,7 +88,7 @@ pub fn resolve_toggle_with_default(
         }
         (Some(c), None) => c,
         (None, Some(e)) => e,
-        (None, None) => default,
+        (None, None) => false,
     }
 }
 
@@ -568,65 +555,20 @@ mod tests {
         assert!(resolve_toggle("t", None, "ET_TEST_TOGGLE_ON"));
         std::env::set_var("ET_TEST_TOGGLE_TRUE", "TRUE");
         assert!(resolve_toggle("t", None, "ET_TEST_TOGGLE_TRUE"));
-        // CLI wins over a conflicting env setting.
+        std::env::set_var("ET_TEST_TOGGLE_FALSE", "false");
+        assert!(!resolve_toggle("t", None, "ET_TEST_TOGGLE_FALSE"));
+        // CLI wins over a conflicting env setting, in both directions.
         assert!(!resolve_toggle("t", Some(false), "ET_TEST_TOGGLE_ON"));
+        assert!(resolve_toggle("t", Some(true), "ET_TEST_TOGGLE_FALSE"));
     }
 
     #[test]
-    fn toggle_default_on_polarity() {
-        // The ET_SERVE_CACHE shape: on unless explicitly disabled.
-        assert!(resolve_toggle_with_default(
-            "cache",
-            None,
-            "ET_TEST_CACHE_UNSET",
-            true
-        ));
-        std::env::set_var("ET_TEST_CACHE_OFF", "0");
-        assert!(!resolve_toggle_with_default(
-            "cache",
-            None,
-            "ET_TEST_CACHE_OFF",
-            true
-        ));
-        std::env::set_var("ET_TEST_CACHE_FALSE", "false");
-        assert!(!resolve_toggle_with_default(
-            "cache",
-            None,
-            "ET_TEST_CACHE_FALSE",
-            true
-        ));
-        // CLI wins in both directions.
-        assert!(resolve_toggle_with_default(
-            "cache",
-            Some(true),
-            "ET_TEST_CACHE_OFF",
-            true
-        ));
-        assert!(!resolve_toggle_with_default(
-            "cache",
-            Some(false),
-            "ET_TEST_CACHE_UNSET",
-            true
-        ));
-    }
-
-    #[test]
-    fn toggle_garbage_env_falls_back_to_default() {
-        // A typo like ET_SERVE_CACHE=off is warned about and ignored, for
-        // both polarities — never read as a value.
-        std::env::set_var("ET_TEST_TOGGLE_GARBAGE", "off");
-        assert!(resolve_toggle_with_default(
-            "cache",
-            None,
-            "ET_TEST_TOGGLE_GARBAGE",
-            true
-        ));
-        assert!(!resolve_toggle_with_default(
-            "mmap",
-            None,
-            "ET_TEST_TOGGLE_GARBAGE",
-            false
-        ));
+    fn toggle_garbage_env_falls_back_to_off() {
+        // A typo like ET_MMAP=on is warned about and ignored — never read
+        // as a value.
+        std::env::set_var("ET_TEST_TOGGLE_GARBAGE", "on");
+        assert!(!resolve_toggle("mmap", None, "ET_TEST_TOGGLE_GARBAGE"));
+        assert!(resolve_toggle("mmap", Some(true), "ET_TEST_TOGGLE_GARBAGE"));
     }
 
     #[test]

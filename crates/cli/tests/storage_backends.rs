@@ -1,12 +1,12 @@
 //! Storage-backend identity: everything built from a memory-mapped binary
 //! graph must be bit-identical to the owned build — support arrays,
 //! trussness, persisted `.etidx` bytes, and query answers — across every
-//! Support kernel × SpNode/SpEdge schedule × rayon pool width.
+//! Support kernel × rayon pool width.
 
 use et_cli::load_graph_with;
 use et_core::{
-    build_index_with_decomposition_scheduled, io as index_io, KernelTimings, Schedule,
-    SupportKernel, TrussHierarchy, Variant,
+    build_index_with_decomposition, io as index_io, KernelTimings, SupportKernel, TrussHierarchy,
+    Variant,
 };
 use et_graph::Backend;
 use std::path::PathBuf;
@@ -18,7 +18,7 @@ fn scratch_dir() -> PathBuf {
 }
 
 #[test]
-fn mapped_matches_owned_across_kernels_schedules_and_threads() {
+fn mapped_matches_owned_across_kernels_and_threads() {
     let dir = scratch_dir();
     let bin = dir.join("g.bin");
     // An R-MAT + planted-cliques graph (skewed degrees, real trussness
@@ -34,13 +34,8 @@ fn mapped_matches_owned_across_kernels_schedules_and_threads() {
     let ref_decomp =
         et_truss::parallel::decompose_parallel_with_support(&ref_graph, ref_support.clone());
     let mut t = KernelTimings::default();
-    let ref_index = build_index_with_decomposition_scheduled(
-        &ref_graph,
-        &ref_decomp,
-        Variant::Afforest,
-        Schedule::Wave,
-        &mut t,
-    );
+    let ref_index =
+        build_index_with_decomposition(&ref_graph, &ref_decomp, Variant::Afforest, &mut t);
     let ref_hierarchy = TrussHierarchy::build(&ref_index);
     let ref_etidx = dir.join("ref.etidx");
     index_io::write_index_with_hierarchy(
@@ -79,47 +74,29 @@ fn mapped_matches_owned_across_kernels_schedules_and_threads() {
                         support.clone(),
                     );
                     assert_eq!(d.trussness, ref_decomp.trussness);
-                    for schedule in Schedule::ALL {
-                        let mut t = KernelTimings::default();
-                        let index = build_index_with_decomposition_scheduled(
-                            &graph,
-                            &d,
-                            Variant::Afforest,
-                            schedule,
-                            &mut t,
-                        );
-                        let hierarchy = TrussHierarchy::build(&index);
-                        let out = dir.join(format!(
-                            "{}-{}-{}-t{threads}.etidx",
-                            backend,
-                            kernel.name(),
-                            schedule.name()
-                        ));
-                        index_io::write_index_with_hierarchy(
-                            &index,
-                            &d.trussness,
-                            &hierarchy,
-                            &out,
-                        )
+                    let mut t = KernelTimings::default();
+                    let index =
+                        build_index_with_decomposition(&graph, &d, Variant::Afforest, &mut t);
+                    let hierarchy = TrussHierarchy::build(&index);
+                    let out = dir.join(format!("{}-{}-t{threads}.etidx", backend, kernel.name()));
+                    index_io::write_index_with_hierarchy(&index, &d.trussness, &hierarchy, &out)
                         .unwrap();
-                        assert_eq!(
-                            std::fs::read(&out).unwrap(),
-                            ref_bytes,
-                            "{} × {} under {backend} @{threads}t: .etidx bytes differ",
-                            kernel.name(),
-                            schedule.name()
-                        );
-                        assert_eq!(
-                            et_community::query_communities(
-                                &graph,
-                                &index,
-                                &hierarchy,
-                                query_vertex,
-                                4
-                            ),
-                            ref_communities
-                        );
-                    }
+                    assert_eq!(
+                        std::fs::read(&out).unwrap(),
+                        ref_bytes,
+                        "{} under {backend} @{threads}t: .etidx bytes differ",
+                        kernel.name()
+                    );
+                    assert_eq!(
+                        et_community::query_communities(
+                            &graph,
+                            &index,
+                            &hierarchy,
+                            query_vertex,
+                            4
+                        ),
+                        ref_communities
+                    );
                 }
             }
         });

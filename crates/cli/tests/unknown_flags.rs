@@ -23,6 +23,8 @@ fn removed_flags_fail_loudly() {
         "--no-steal",
         "--support-kernel",
         "--engine",
+        "--cache",
+        "--no-cache",
     ] {
         let (code, stderr) = equitruss(&["build", "no-such-graph.txt", flag, "-o", "x.etidx"]);
         assert_eq!(code, Some(2), "{flag}: {stderr}");

@@ -14,8 +14,8 @@
 //!   a [`RowView`]; [`TrussRowViews`] hands each Φ_k group rows filtered to
 //!   the edges that can still form a k-triangle.
 //!
-//! [`spnode_group`] is the variant dispatcher the pipeline schedules — under
-//! either the sequential per-k loop or the wave scheduler.
+//! [`spnode_group`] is the variant dispatcher the pipeline's SpNode wave
+//! runs once per Φ_k group.
 
 use crate::baseline::EdgeDict;
 use crate::pipeline::Variant;
@@ -286,8 +286,8 @@ mod tests {
 
     /// Breaks `view`'s enumeration of `e` after 1, 2, 3, half and all of its
     /// partners; each time exactly that prefix of `for_each_partner`'s
-    /// sequence must have been visited. Returns the partner count.
-    fn assert_breaks_visit_prefixes<V: TriangleAdjacency>(view: &V, e: u32) -> usize {
+    /// sequence must have been visited.
+    fn assert_breaks_visit_prefixes<V: TriangleAdjacency>(view: &V, e: u32) {
         let all = partners(view, e);
         for stop in [1, 2, 3, all.len() / 2, all.len()] {
             if stop == 0 || stop > all.len() {
@@ -305,58 +305,89 @@ mod tests {
             assert!(flow.is_break(), "e={e} stop={stop}");
             assert_eq!(seen, all[..stop], "e={e} stop={stop}");
         }
-        all.len()
+    }
+
+    /// The same-k partners of `e` in ascending third vertex, found by
+    /// probing every vertex: no intersection kernel, no dictionary.
+    fn brute_force_partners(eg: &EdgeIndexedGraph, tau: &[u32], k: u32, e: u32) -> Vec<u32> {
+        let (u, v) = eg.endpoints(e);
+        let mut all = Vec::new();
+        for w in 0..eg.num_vertices() as VertexId {
+            if let (Some(e1), Some(e2)) = (eg.edge_id(u, w), eg.edge_id(v, w)) {
+                let _ = same_k_partners(tau, k, e1, e2, &mut |p| {
+                    all.push(p);
+                    ControlFlow::Continue(())
+                });
+            }
+        }
+        all
     }
 
     /// Both views — the CSR one over the graph's rows and over rows filtered
-    /// to τ ≥ k — on edges whose endpoint degrees sit on either side of
-    /// `GALLOP_RATIO` (so the merge and the gallop kernels both run), with
-    /// the SIMD kernels off and — in a `--features simd` build — on.
+    /// to τ ≥ k — against the brute-force sequence, on edges whose endpoint
+    /// degrees sit on either side of `GALLOP_RATIO` and whose shorter row
+    /// sits on either side of `SIMD_MIN_LEN`, so each of the dispatcher's
+    /// four kernels runs: a K_c on {0..c-1} whose vertex 0 is also a hub.
+    /// The clique edges at 0 intersect the hub row with a (c-1)-list
+    /// (gallop), the others two (c-1)-lists (merge); every clique edge has
+    /// 2(c-2) same-k partners. A triangulated grid keeps every row short.
     #[test]
-    fn breaking_visits_a_prefix_on_merge_and_gallop_sides() {
-        use et_triangle::intersect::GALLOP_RATIO;
-        // A K5 on {0..4} whose vertex 0 is also a 200-spoke hub: the clique
-        // edges at 0 intersect a 200-list with a 4-list (gallop), the others
-        // two 4-lists (merge); every clique edge has six same-k partners.
-        let mut b = et_graph::GraphBuilder::new(201);
-        for u in 0..5u32 {
-            for v in (u + 1)..5 {
-                b.add_edge(u, v);
+    fn breaking_visits_a_prefix_whichever_kernel_runs() {
+        use et_triangle::intersect::{GALLOP_RATIO, SIMD_MIN_LEN};
+        for (c, spokes) in [(5u32, 200u32), (SIMD_MIN_LEN as u32 + 4, 400)] {
+            let mut b = et_graph::GraphBuilder::new((c + spokes) as usize);
+            for u in 0..c {
+                for v in (u + 1)..c {
+                    b.add_edge(u, v);
+                }
             }
-        }
-        for v in 5..=200u32 {
-            b.add_edge(0, v);
-        }
-        let eg = EdgeIndexedGraph::new(b.build());
-        let tau = decompose_serial(&eg).trussness;
-        let dict = EdgeDict::build(&eg);
-        let rows = RowView::of(&eg);
-        for simd_on in [false, true] {
-            et_triangle::set_simd_enabled(simd_on);
-            let (mut merged, mut galloped) = (0usize, 0usize);
-            // Every edge with a triangle is a K5 edge: one τ ≥ 5 view serves all.
-            let live = rows.filtered(|x| tau[x as usize] >= 5);
+            for v in c..c + spokes {
+                b.add_edge(0, v);
+            }
+            let eg = EdgeIndexedGraph::new(b.build());
+            let tau = decompose_serial(&eg).trussness;
+            let dict = EdgeDict::build(&eg);
+            let rows = RowView::of(&eg);
+            let (mut merged, mut galloped) = (0u32, 0u32);
+            // Every edge with a triangle is a clique edge: one τ ≥ c view serves all.
+            let live = rows.filtered(|x| tau[x as usize] >= c);
             for e in (0..eg.num_edges() as u32).filter(|&e| tau[e as usize] >= 3) {
                 let k = tau[e as usize];
-                assert_eq!(k, 5);
+                assert_eq!(k, c);
                 let cv = CsrTriangleView::new(&rows, &tau, k);
                 let lv = CsrTriangleView::new(&live, &tau, k);
                 let dv = DictTriangleView::new(&eg, &dict, &tau, k);
-                assert_eq!(assert_breaks_visit_prefixes(&cv, e), 6);
-                assert_eq!(assert_breaks_visit_prefixes(&lv, e), 6);
-                assert_eq!(assert_breaks_visit_prefixes(&dv, e), 6);
-                assert_eq!(partners(&lv, e), partners(&cv, e));
+                let expect = brute_force_partners(&eg, &tau, k, e);
+                assert_eq!(expect.len() as u32, 2 * (c - 2));
+                assert_breaks_visit_prefixes(&cv, e);
+                assert_breaks_visit_prefixes(&lv, e);
+                assert_breaks_visit_prefixes(&dv, e);
+                assert_eq!(partners(&cv, e), expect, "c={c} e={e}");
+                assert_eq!(partners(&lv, e), expect, "c={c} e={e}");
+                assert_eq!(partners(&dv, e), expect, "c={c} e={e}");
                 let (u, v) = eg.endpoints(e);
                 let (du, dv) = (eg.degree(u), eg.degree(v));
+                assert_eq!(du.min(dv) >= SIMD_MIN_LEN, c > 5);
                 if du.max(dv) / du.min(dv) >= GALLOP_RATIO {
                     galloped += 1;
                 } else {
                     merged += 1;
                 }
             }
-            assert_eq!((merged, galloped), (6, 4));
+            assert_eq!((merged, galloped), ((c - 1) * (c - 2) / 2, c - 1));
         }
-        et_triangle::set_simd_enabled(true);
+
+        let eg = EdgeIndexedGraph::new(et_gen::triangulated_grid(9));
+        let tau = decompose_serial(&eg).trussness;
+        let rows = RowView::of(&eg);
+        for e in 0..eg.num_edges() as u32 {
+            let (u, v) = eg.endpoints(e);
+            assert!(eg.degree(u).max(eg.degree(v)) < SIMD_MIN_LEN);
+            let cv = CsrTriangleView::new(&rows, &tau, tau[e as usize]);
+            assert_breaks_visit_prefixes(&cv, e);
+            let expect = brute_force_partners(&eg, &tau, tau[e as usize], e);
+            assert_eq!(partners(&cv, e), expect, "grid e={e}");
+        }
     }
 
     /// The dispatcher and the per-variant entry points agree.

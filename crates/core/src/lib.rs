@@ -20,7 +20,7 @@
 //! engine ([`et_cc::engine`]): [`engine`] supplies the per-variant edge-id
 //! resolution views ([`engine::DictTriangleView`], [`engine::CsrTriangleView`])
 //! and the [`engine::spnode_group`] dispatcher, which the pipeline schedules
-//! either per-k or as parallel waves ([`pipeline::Schedule`]).
+//! as one parallel wave over all Φ_k groups.
 //!
 //! All four produce canonically identical indexes (the paper reports 100%
 //! accuracy agreement); [`validate`] checks this plus the definitional
@@ -51,8 +51,8 @@ pub use index::{SuperGraph, NO_SUPERNODE};
 pub use original::build_original;
 pub use phi::PhiGroups;
 pub use pipeline::{
-    build_index, build_index_with_decomposition, build_index_with_decomposition_scheduled,
-    build_index_with_options, IndexBuild, Schedule, SupportKernel, Variant,
+    build_index, build_index_with_decomposition, build_index_with_options, IndexBuild,
+    SupportKernel, Variant,
 };
 pub use stats::IndexStats;
 pub use timings::KernelTimings;

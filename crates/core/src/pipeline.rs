@@ -2,21 +2,18 @@
 //!
 //! Orchestrates the paper's kernels — Support, TrussDecomp, Init, SpNode,
 //! SpEdge, SmGraph, SpNodeRemap — recording per-kernel wall time for the
-//! Fig. 4/8 breakdowns. The SpNode/SpEdge phase runs under a selectable
-//! [`Schedule`]:
-//!
-//! * [`Schedule::PerK`] — the paper's loop: per ascending k, SpNode then
-//!   SpEdge "invoked consecutively upon the same Φ_k set";
-//! * [`Schedule::Wave`] (default) — two parallel waves: every Φ_k SpNode
-//!   group dispatched concurrently, one barrier, then one triangle-once
-//!   SpEdge pass over the whole graph
-//!   ([`crate::spedge::spedge_triangle_once`]). Sound because Φ_k groups are
-//!   mutually independent for SpNode (hooking only links same-k edges, and Π
-//!   values in Φ_k cells never leave Φ_k), while SpEdge only *reads* Π roots
-//!   — all finalized at the barrier, which is what lets one visit per
-//!   triangle stand in for Algorithm 3's three. The wave keeps the rayon
-//!   pool saturated across the many tiny high-k groups that starve the
-//!   per-k loop.
+//! Fig. 4/8 breakdowns. Where the paper loops over ascending k running
+//! SpNode then SpEdge "consecutively upon the same Φ_k set", the
+//! SpNode/SpEdge phase here is two parallel waves: every Φ_k SpNode group
+//! dispatched concurrently, one barrier, then one triangle-once SpEdge pass
+//! over the whole graph ([`crate::spedge::spedge_triangle_once`]). Sound
+//! because Φ_k groups are mutually independent for SpNode (hooking only links
+//! same-k edges, and Π values in Φ_k cells never leave Φ_k), while SpEdge only
+//! *reads* Π roots — all finalized at the barrier, which is what lets one
+//! visit per triangle stand in for Algorithm 3's three. The wave keeps the
+//! rayon pool saturated across the many tiny high-k groups that starve a
+//! per-k loop; [`crate::original::build_original`] is the serial reference
+//! every variant is compared with.
 
 use crate::baseline::EdgeDict;
 use crate::engine::{spnode_group, TrussRowViews};
@@ -24,8 +21,8 @@ use crate::hierarchy::TrussHierarchy;
 use crate::index::SuperGraph;
 use crate::phi::PhiGroups;
 use crate::smgraph::merge_supergraph;
-use crate::spedge::{spedge_group, spedge_triangle_once, RootPair};
-use crate::timings::{timed_phase, timed_phase_k, Kernel, KernelTimings};
+use crate::spedge::spedge_triangle_once;
+use crate::timings::{timed_phase, Kernel, KernelTimings};
 use et_graph::{EdgeId, EdgeIndexedGraph, ShapeStats};
 use et_truss::TrussDecomposition;
 use rayon::prelude::*;
@@ -132,34 +129,6 @@ impl SupportKernel {
     }
 }
 
-/// How the per-Φ_k SpNode/SpEdge kernels are scheduled.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Schedule {
-    /// The paper's serial outer loop: for ascending k, SpNode(Φ_k) then
-    /// SpEdge(Φ_k). Parallelism exists only *inside* a group, so tiny
-    /// high-k groups leave most of the pool idle.
-    PerK,
-    /// Two parallel waves with one barrier between them: every SpNode
-    /// group, then a triangle-once SpEdge pass. Produces the identical index
-    /// (groups are independent; SpEdge reads only finalized Π roots) while
-    /// exposing cross-group parallelism.
-    #[default]
-    Wave,
-}
-
-impl Schedule {
-    /// Both schedules, wave (the default) first.
-    pub const ALL: [Schedule; 2] = [Schedule::Wave, Schedule::PerK];
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Schedule::PerK => "per-k",
-            Schedule::Wave => "wave",
-        }
-    }
-}
-
 /// A constructed index plus its query-serving hierarchy and kernel timings.
 #[derive(Clone, Debug)]
 pub struct IndexBuild {
@@ -194,24 +163,17 @@ const _: () = {
 };
 
 /// Full pipeline: Support → parallel truss decomposition → index
-/// construction with the chosen variant, under the default Support pick and
-/// the default (wave) schedule.
+/// construction with the chosen variant, under the default Support pick.
 pub fn build_index(graph: &EdgeIndexedGraph, variant: Variant) -> IndexBuild {
-    build_index_with_options(
-        graph,
-        variant,
-        SupportKernel::default(),
-        Schedule::default(),
-    )
+    build_index_with_options(graph, variant, SupportKernel::default())
 }
 
-/// Full pipeline with the Support arm and the SpNode/SpEdge schedule
-/// explicit (tests pin them; builds use [`build_index`]).
+/// Full pipeline with the Support arm explicit (tests pin it; builds use
+/// [`build_index`]).
 pub fn build_index_with_options(
     graph: &EdgeIndexedGraph,
     variant: Variant,
     kernel: SupportKernel,
-    schedule: Schedule,
 ) -> IndexBuild {
     let _build_span = et_obs::span(format!("BuildIndex({})", variant.name()));
     let mut timings = KernelTimings::default();
@@ -221,13 +183,7 @@ pub fn build_index_with_options(
     let decomposition = timed_phase(&mut timings, Kernel::TrussDecomp, "TrussDecomp", || {
         et_truss::parallel::decompose_parallel_with_support(graph, support)
     });
-    let index = build_index_with_decomposition_scheduled(
-        graph,
-        &decomposition,
-        variant,
-        schedule,
-        &mut timings,
-    );
+    let index = build_index_with_decomposition(graph, &decomposition, variant, &mut timings);
     // Hierarchy-build phase: the offline half of the query engine, timed
     // like any other kernel. TrussHierarchy::build opens its own span, so
     // only a span-less memory window is added here (a second span would
@@ -244,30 +200,12 @@ pub fn build_index_with_options(
     }
 }
 
-/// Index construction given a precomputed trussness dictionary, under the
-/// default (wave) schedule; kernel times are *added* to `timings`
-/// (Support/TrussDecomp slots untouched).
+/// Index construction given a precomputed trussness dictionary; kernel times
+/// are *added* to `timings` (Support/TrussDecomp slots untouched).
 pub fn build_index_with_decomposition(
     graph: &EdgeIndexedGraph,
     decomposition: &TrussDecomposition,
     variant: Variant,
-    timings: &mut KernelTimings,
-) -> SuperGraph {
-    build_index_with_decomposition_scheduled(
-        graph,
-        decomposition,
-        variant,
-        Schedule::default(),
-        timings,
-    )
-}
-
-/// [`build_index_with_decomposition`] with an explicit [`Schedule`].
-pub fn build_index_with_decomposition_scheduled(
-    graph: &EdgeIndexedGraph,
-    decomposition: &TrussDecomposition,
-    variant: Variant,
-    schedule: Schedule,
     timings: &mut KernelTimings,
 ) -> SuperGraph {
     let m = graph.num_edges();
@@ -291,67 +229,42 @@ pub fn build_index_with_decomposition_scheduled(
         }
     }
 
-    // SpNode's rows: the graph's, then τ ≥ k views as the groups thin out,
-    // built inside the SpNode slots below (the views are that kernel's cost)
-    // and dropped with the last SpNode group. The Baseline reads the graph's
-    // rows through its dictionary and gets none.
-    let spnode_rows = || TrussRowViews::new(graph, tau, phi.indexed_edges());
-    let filters_rows = variant != Variant::Baseline;
-    let subsets: Vec<Vec<RootPair>> = match schedule {
-        Schedule::PerK => {
-            // The paper's loop: per ascending k, SpNode then SpEdge on the
-            // same Φ_k.
-            let mut subsets = Vec::new();
-            let mut rows = spnode_rows();
-            for (k, group) in phi.iter() {
-                timed_phase_k(timings, Kernel::SpNode, "SpNode", k, || {
-                    if filters_rows {
-                        rows.advance(k, group.len());
-                    }
-                    spnode_group(&rows, dict.as_ref(), k, group, &parent, variant);
-                });
-                timed_phase_k(timings, Kernel::SpEdge, "SpEdge", k, || {
-                    spedge_group(graph, tau, k, group, &parent, &mut subsets);
-                });
+    let groups: Vec<(u32, &[EdgeId])> = phi.iter().collect();
+    et_obs::counter_add("engine.wave_width", groups.len() as u64);
+
+    // Wave 1: every SpNode group concurrently. Groups are mutually
+    // independent — hooking only links same-k edges and Π entries of Φ_k
+    // cells never reference other groups — so the nested par_iters just feed
+    // one work-stealing pool.
+    timed_phase(timings, Kernel::SpNode, "SpNodeWave", || {
+        // SpNode's rows: the graph's, then τ ≥ k views as the groups thin
+        // out, built inside this slot (the views are SpNode's cost) and
+        // dropped with it. The Baseline reads the graph's rows through its
+        // dictionary and gets none.
+        let mut rows = TrussRowViews::new(graph, tau, phi.indexed_edges());
+        if variant != Variant::Baseline {
+            for &(k, group) in &groups {
+                rows.advance(k, group.len());
             }
-            subsets
         }
-        Schedule::Wave => {
-            let groups: Vec<(u32, &[EdgeId])> = phi.iter().collect();
-            et_obs::counter_add("engine.wave_width", groups.len() as u64);
+        let wave = et_obs::wave("SpNodeWave");
+        groups.par_iter().for_each(|&(k, group)| {
+            let _task = wave.task();
+            let _span = et_obs::span("SpNode").arg("k", u64::from(k));
+            spnode_group(&rows, dict.as_ref(), k, group, &parent, variant);
+        });
+    });
 
-            // Wave 1: every SpNode group concurrently. Groups are mutually
-            // independent — hooking only links same-k edges and Π entries of
-            // Φ_k cells never reference other groups — so the nested
-            // par_iters just feed one work-stealing pool.
-            timed_phase(timings, Kernel::SpNode, "SpNodeWave", || {
-                let mut rows = spnode_rows();
-                if filters_rows {
-                    for &(k, group) in &groups {
-                        rows.advance(k, group.len());
-                    }
-                }
-                let wave = et_obs::wave("SpNodeWave");
-                groups.par_iter().for_each(|&(k, group)| {
-                    let _task = wave.task();
-                    let _span = et_obs::span("SpNode").arg("k", u64::from(k));
-                    spnode_group(&rows, dict.as_ref(), k, group, &parent, variant);
-                });
-            });
+    // Barrier: the par_iter above completes only when every group's Π is
+    // finalized (roots fully shortcut/compressed).
 
-            // Barrier: the par_iter above completes only when every group's
-            // Π is finalized (roots fully shortcut/compressed).
-
-            // Wave 2: one triangle-once pass over the whole graph. Each
-            // triangle is seen from its pivot edge with all three trussness
-            // values in hand and reads the Π roots of all three edges — all
-            // finalized by wave 1. Subsets arrive in pivot-range order, so
-            // the SmGraph input stays deterministic.
-            timed_phase(timings, Kernel::SpEdge, "SpEdgeWave", || {
-                spedge_triangle_once(graph, tau, &parent)
-            })
-        }
-    };
+    // Wave 2: one triangle-once pass over the whole graph. Each triangle is
+    // seen from its pivot edge with all three trussness values in hand and
+    // reads the Π roots of all three edges — all finalized by wave 1. Subsets
+    // arrive in pivot-range order, so the SmGraph input stays deterministic.
+    let subsets = timed_phase(timings, Kernel::SpEdge, "SpEdgeWave", || {
+        spedge_triangle_once(graph, tau, &parent)
+    });
 
     // SmGraph merge (Algorithm 4). Partition count is clamped to the number
     // of non-empty subsets so tiny graphs don't spawn empty merge partitions.
@@ -412,28 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn schedules_build_identical_indexes() {
-        let eg = EdgeIndexedGraph::new(et_gen::overlapping_cliques(200, 40, (3, 7), 80, 5));
-        let tau = decompose_serial(&eg);
-        let reference = build_original(&eg, &tau.trussness).canonical();
-        for variant in Variant::ALL {
-            for schedule in Schedule::ALL {
-                let mut t = KernelTimings::default();
-                let idx =
-                    build_index_with_decomposition_scheduled(&eg, &tau, variant, schedule, &mut t);
-                idx.check_structure(&eg).unwrap();
-                assert_eq!(
-                    idx.canonical(),
-                    reference,
-                    "{} under {} schedule",
-                    variant.name(),
-                    schedule.name()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn shared_build_reads_identically_across_threads() {
         let eg = EdgeIndexedGraph::new(et_gen::overlapping_cliques(100, 20, (3, 6), 40, 7));
         let build = build_index(&eg, Variant::Afforest);
@@ -458,8 +349,7 @@ mod tests {
         let eg = EdgeIndexedGraph::new(et_gen::overlapping_cliques(150, 30, (3, 6), 60, 9));
         let reference = build_index(&eg, Variant::COptimal);
         for kernel in SupportKernel::ALL {
-            let build =
-                build_index_with_options(&eg, Variant::COptimal, kernel, Schedule::default());
+            let build = build_index_with_options(&eg, Variant::COptimal, kernel);
             assert_eq!(
                 build.index.canonical(),
                 reference.index.canonical(),

@@ -2,25 +2,24 @@
 //!
 //! Two formulations that emit the same candidate *set*:
 //!
-//! * [`spedge_group`] — Algorithm 3 verbatim, the form [`Schedule::PerK`]
-//!   and `reproduce` run. For each edge e of the current Φ_k set, every
-//!   triangle through e is examined; when e's trussness k strictly exceeds
-//!   the triangle's minimum trussness, a superedge is recorded from the
-//!   supernode of the minimum edge up to the supernode of e ("create
-//!   superedge downward", ln. 9–12). Every triangle is walked from each of
-//!   its three edges.
-//! * [`spedge_triangle_once`] — the wave schedule's pass. Every triangle is
+//! * [`spedge_group`] — Algorithm 3 verbatim: the reference this module's
+//!   tests hold the triangle-once pass to, and (as [`spedge_group_with`],
+//!   over hash-set adjacency) what et-dynamic runs per rebuilt level. For
+//!   each edge e of the current Φ_k set, every triangle through e is
+//!   examined; when e's trussness k strictly exceeds the triangle's minimum
+//!   trussness, a superedge is recorded from the supernode of the minimum
+//!   edge up to the supernode of e ("create superedge downward", ln. 9–12).
+//!   Every triangle is walked from each of its three edges.
+//! * [`spedge_triangle_once`] — the pass every build runs. Every triangle is
 //!   visited once, from its *pivot* edge (the edge between its two smallest
 //!   vertices), with all three trussness values in hand, and emits the
 //!   pairs Algorithm 3 would have emitted from its three visits. Needs Π
-//!   final for *every* group, which only the wave barrier provides.
+//!   final for *every* group, which the SpNode wave's barrier provides.
 //!
 //! Either way each parallel job appends into its own subset — the
 //! thread-local `sp_edges[tid]` of the paper — so no synchronization is
 //! needed; the subsets are merged later by Algorithm 4 (see
 //! [`crate::smgraph`]).
-//!
-//! [`Schedule::PerK`]: crate::pipeline::Schedule::PerK
 
 use et_graph::{schedule, EdgeId, EdgeIndexedGraph};
 use et_triangle::{for_each_pivot_triangle_of_edge, for_each_triangle_of_edge};
@@ -36,10 +35,9 @@ pub type RootPair = (u32, u32);
 /// Runs Algorithm 3 for one Φ_k group, appending each job's thread-local
 /// subset of superedge candidates to `subsets`.
 ///
-/// Must run after SpNode has finalized Π for every trussness ≤ k — either
-/// because the per-k schedule just finished Φ_k (the paper's "invoked
-/// consecutively upon the same Φ_k"), or because the SpNode wave barrier
-/// finalized *every* group.
+/// Must run after SpNode has finalized Π for every trussness ≤ k — the
+/// paper invokes it "consecutively upon the same Φ_k"; after the SpNode wave
+/// barrier *every* group is final.
 pub fn spedge_group(
     graph: &EdgeIndexedGraph,
     trussness: &[u32],

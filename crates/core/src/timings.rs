@@ -251,25 +251,6 @@ pub fn timed<T>(slot: &mut Duration, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// [`timed`] that also opens an [`et_obs`] span named `name` for the
-/// duration of the closure (a no-op unless tracing is enabled).
-pub fn timed_span<T>(slot: &mut Duration, name: &'static str, f: impl FnOnce() -> T) -> T {
-    let _span = et_obs::span(name);
-    timed(slot, f)
-}
-
-/// [`timed_span`] with the trussness level `k` attached as a span argument
-/// — used by the per-Φ_k kernels so traces show one box per (kernel, k).
-pub fn timed_span_k<T>(
-    slot: &mut Duration,
-    name: &'static str,
-    k: u32,
-    f: impl FnOnce() -> T,
-) -> T {
-    let _span = et_obs::span(name).arg("k", u64::from(k));
-    timed(slot, f)
-}
-
 /// The full-pipeline instrumentation point: times the closure into
 /// `kernel`'s slot, opens a span named `name` (a no-op unless tracing is
 /// on), and — while memory tracking is active — folds the span's
@@ -281,25 +262,6 @@ pub fn timed_phase<T>(
     f: impl FnOnce() -> T,
 ) -> T {
     let span = et_obs::span(name);
-    let start = std::time::Instant::now();
-    let out = f();
-    *timings.slot_mut(kernel) += start.elapsed();
-    if let Some(mem) = span.finish().mem {
-        timings.record_mem(kernel, mem);
-    }
-    out
-}
-
-/// [`timed_phase`] with the trussness level `k` attached as a span
-/// argument — the per-Φ_k form used by the paper's serial schedule.
-pub fn timed_phase_k<T>(
-    timings: &mut KernelTimings,
-    kernel: Kernel,
-    name: &'static str,
-    k: u32,
-    f: impl FnOnce() -> T,
-) -> T {
-    let span = et_obs::span(name).arg("k", u64::from(k));
     let start = std::time::Instant::now();
     let out = f();
     *timings.slot_mut(kernel) += start.elapsed();
@@ -380,24 +342,6 @@ mod tests {
         let row_labels: Vec<&str> = t.rows().iter().map(|&(n, _)| n).collect();
         let kernel_labels: Vec<&str> = Kernel::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(row_labels, kernel_labels);
-    }
-
-    #[test]
-    fn timed_span_records_like_timed() {
-        let _guard = OBS_LOCK.lock().unwrap();
-        et_obs::set_enabled(true);
-        et_obs::reset();
-        let mut slot = Duration::ZERO;
-        let v = timed_span(&mut slot, "test.timings_span", || 7);
-        assert_eq!(v, 7);
-        let k = timed_span_k(&mut slot, "test.timings_span_k", 4, || 8);
-        assert_eq!(k, 8);
-        et_obs::set_enabled(false);
-        let events = et_obs::take_events();
-        assert!(events.iter().any(|e| e.name == "test.timings_span"));
-        assert!(events
-            .iter()
-            .any(|e| e.name == "test.timings_span_k" && e.args.contains(&("k".to_string(), 4))));
     }
 
     #[test]

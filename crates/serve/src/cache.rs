@@ -54,11 +54,6 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         self.map.is_empty()
     }
 
-    /// The configured capacity (0 = caching disabled).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Looks up `key`, promoting it to most-recently-used on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
         let &slot = self.map.get(key)?;

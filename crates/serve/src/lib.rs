@@ -130,6 +130,9 @@ struct CachedBody {
 pub struct SharedIndex {
     swap: Swap<ServeState>,
     cache: Mutex<Lru<CacheKey, CachedBody>>,
+    /// The cache's fixed capacity, readable without its lock: a server run
+    /// with capacity 0 answers `/query` without ever taking the mutex.
+    cache_capacity: usize,
     metrics: ServeMetrics,
     reload: Option<ReloadSpec>,
 }
@@ -142,6 +145,7 @@ impl SharedIndex {
         SharedIndex {
             swap: Swap::new(state),
             cache: Mutex::new(Lru::new(cache_capacity)),
+            cache_capacity,
             metrics: ServeMetrics::default(),
             reload,
         }
@@ -172,11 +176,10 @@ impl SharedIndex {
     }
 
     fn cache_get(&self, key: &CacheKey, epoch: u64) -> Option<Arc<String>> {
-        let mut cache = self.cache.lock().unwrap();
-        if cache.capacity() == 0 {
+        if self.cache_capacity == 0 {
             return None;
         }
-        match cache.get(key) {
+        match self.cache.lock().unwrap().get(key) {
             Some(entry) if entry.epoch == epoch => {
                 self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
                 if et_obs::enabled() {
@@ -192,6 +195,9 @@ impl SharedIndex {
     }
 
     fn cache_put(&self, key: CacheKey, epoch: u64, body: Arc<String>) {
+        if self.cache_capacity == 0 {
+            return;
+        }
         self.cache
             .lock()
             .unwrap()
@@ -352,10 +358,7 @@ fn handle_stats(shared: &SharedIndex, state: &ServeState) -> (u16, String) {
                 .end(),
         );
     }
-    let (cache_capacity, cache_entries) = {
-        let cache = shared.cache.lock().unwrap();
-        (cache.capacity(), cache.len())
-    };
+    let cache_entries = shared.cache.lock().unwrap().len();
     let body = Obj::new()
         .u64("epoch", state.epoch)
         .raw(
@@ -389,7 +392,7 @@ fn handle_stats(shared: &SharedIndex, state: &ServeState) -> (u16, String) {
                     &Obj::new()
                         .u64("hits", m.cache_hits.load(Ordering::Relaxed))
                         .u64("misses", m.cache_misses.load(Ordering::Relaxed))
-                        .u64("capacity", cache_capacity as u64)
+                        .u64("capacity", shared.cache_capacity as u64)
                         .u64("entries", cache_entries as u64)
                         .end(),
                 )

@@ -16,8 +16,8 @@ use std::ops::ControlFlow;
 /// filtered view that is the parent view's sequence with the triangles
 /// touching a dropped edge removed.
 ///
-/// Cost: one adaptive intersection of the two rows — merge, gallop, or
-/// their SIMD variants per [`crate::intersect::try_intersect_matches`]; no
+/// Cost: one adaptive intersection of the two rows — merge or gallop, scalar
+/// or vector, per [`crate::intersect::try_intersect_matches`]; no
 /// hashing, no per-match binary search; the per-arc edge ids ride along via
 /// the reported index pairs.
 #[inline]
@@ -176,70 +176,85 @@ mod tests {
         }
     }
 
-    /// Over random graphs and random edge predicates, with the SIMD kernels
-    /// off and on: a filtered view enumerates, for every edge, the graph's
-    /// triangles minus those touching a dropped edge, in the same order;
-    /// breaking after 1, 2 and half of them visits exactly that prefix; and a
-    /// view filtered from a view is the view filtered from the graph.
+    /// Every triangle of `e = (u, v)` as `(w, id(u, w), id(v, w))` in
+    /// ascending `w`, found by probing every vertex: no intersection kernel.
+    fn brute_force_triangles(g: &EdgeIndexedGraph, e: EdgeId) -> Vec<(VertexId, EdgeId, EdgeId)> {
+        let (u, v) = g.endpoints(e);
+        (0..g.num_vertices() as VertexId)
+            .filter_map(|w| Some((w, g.edge_id(u, w)?, g.edge_id(v, w)?)))
+            .collect()
+    }
+
+    /// Over random graphs and random edge predicates, a filtered view
+    /// enumerates, for every edge, the brute-force triangles minus those
+    /// touching a dropped edge, in the same order; breaking after 1, 2 and
+    /// half of them visits exactly that prefix; and a view filtered from a
+    /// view is the view filtered from the graph. The grid keeps every row
+    /// below the vector cutoff, the dense G(n, m) puts both rows of most
+    /// edges above it, the R-MAT hubs add the lopsided pairs.
     #[test]
     fn filtered_rows_enumerate_the_surviving_triangles_in_order() {
+        use crate::intersect::SIMD_MIN_LEN;
         let graphs = [
             et_gen::gnm(70, 500, 33),
             et_gen::gnm(40, 600, 5),
             et_gen::rmat_small(8, 8, 5),
             et_gen::overlapping_cliques(120, 25, (3, 7), 40, 3),
+            et_gen::triangulated_grid(9),
         ];
-        for simd_on in [false, true] {
-            crate::set_simd_enabled(simd_on);
-            for (seed, g) in graphs.iter().enumerate() {
-                let g = EdgeIndexedGraph::new(g.clone());
-                let graph_rows = RowView::of(&g);
-                for keep_pct in [0, 30, 75, 100] {
-                    let keep = keeps(seed as u64, keep_pct);
-                    let coarse = keeps(seed as u64 + 100, 80);
-                    let live = graph_rows.filtered(&keep);
-                    let via_view = graph_rows.filtered(&coarse).filtered(&keep);
-                    let direct = graph_rows.filtered(|e| coarse(e) && keep(e));
-                    for e in 0..g.num_edges() as EdgeId {
-                        let mut expect = Vec::new();
-                        for_each_triangle_of_edge(&g, e, |w, e1, e2| {
-                            if keep(e1) && keep(e2) {
-                                expect.push((w, e1, e2));
+        let shorter_row = |g: &EdgeIndexedGraph, e: EdgeId| {
+            let (u, v) = g.endpoints(e);
+            g.degree(u).min(g.degree(v))
+        };
+        for (seed, g) in graphs.iter().enumerate() {
+            let g = EdgeIndexedGraph::new(g.clone());
+            let edges = 0..g.num_edges() as EdgeId;
+            match seed {
+                1 => assert!(edges.clone().any(|e| shorter_row(&g, e) >= SIMD_MIN_LEN)),
+                4 => assert!(edges.clone().all(|e| shorter_row(&g, e) < SIMD_MIN_LEN)),
+                _ => {}
+            }
+            let graph_rows = RowView::of(&g);
+            for keep_pct in [0, 30, 75, 100] {
+                let keep = keeps(seed as u64, keep_pct);
+                let coarse = keeps(seed as u64 + 100, 80);
+                let live = graph_rows.filtered(&keep);
+                let via_view = graph_rows.filtered(&coarse).filtered(&keep);
+                let direct = graph_rows.filtered(|e| coarse(e) && keep(e));
+                for e in edges.clone() {
+                    let mut expect = brute_force_triangles(&g, e);
+                    expect.retain(|&(_, e1, e2)| keep(e1) && keep(e2));
+                    let collect = |rows: &RowView<'_>, stop: usize| {
+                        let mut seen = Vec::new();
+                        let flow = try_for_each_triangle_in_rows(rows, e, |w, e1, e2| {
+                            seen.push((w, e1, e2));
+                            if seen.len() == stop {
+                                ControlFlow::Break(())
+                            } else {
+                                ControlFlow::Continue(())
                             }
                         });
-                        let collect = |rows: &RowView<'_>, stop: usize| {
-                            let mut seen = Vec::new();
-                            let flow = try_for_each_triangle_in_rows(rows, e, |w, e1, e2| {
-                                seen.push((w, e1, e2));
-                                if seen.len() == stop {
-                                    ControlFlow::Break(())
-                                } else {
-                                    ControlFlow::Continue(())
-                                }
-                            });
-                            (seen, flow)
-                        };
-                        let (all, flow) = collect(&live, usize::MAX);
-                        assert!(flow.is_continue());
-                        assert_eq!(all, expect, "seed {seed} keep {keep_pct} edge {e}");
-                        for stop in [1, 2, all.len() / 2] {
-                            if stop == 0 || stop > all.len() {
-                                continue;
-                            }
-                            let (seen, flow) = collect(&live, stop);
-                            assert!(flow.is_break());
-                            assert_eq!(seen, all[..stop], "edge {e} stop {stop}");
+                        (seen, flow)
+                    };
+                    let (all, flow) = collect(&live, usize::MAX);
+                    assert!(flow.is_continue());
+                    assert_eq!(all, expect, "seed {seed} keep {keep_pct} edge {e}");
+                    for stop in [1, 2, all.len() / 2] {
+                        if stop == 0 || stop > all.len() {
+                            continue;
                         }
-                        assert_eq!(
-                            collect(&via_view, usize::MAX).0,
-                            collect(&direct, usize::MAX).0,
-                            "seed {seed} keep {keep_pct} edge {e}: view of a view"
-                        );
+                        let (seen, flow) = collect(&live, stop);
+                        assert!(flow.is_break());
+                        assert_eq!(seen, all[..stop], "edge {e} stop {stop}");
                     }
+                    assert_eq!(
+                        collect(&via_view, usize::MAX).0,
+                        collect(&direct, usize::MAX).0,
+                        "seed {seed} keep {keep_pct} edge {e}: view of a view"
+                    );
                 }
             }
         }
-        crate::set_simd_enabled(true);
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! Sorted-set intersection kernels.
 //!
 //! The Support kernel is dominated by adjacency-list intersections; the best
-//! strategy depends on the length ratio of the two lists. Scalar merge,
+//! strategy depends on the lengths of the two lists. Scalar merge,
 //! binary-probe, and galloping kernels are provided plus an adaptive
 //! dispatcher ([`intersect_into`] / [`intersect_count`] /
 //! [`intersect_matches`] and its breakable core [`try_intersect_matches`])
-//! that switches to galloping when the lists are very unbalanced — the
-//! regime of skewed social graphs. With the `simd` cargo
-//! feature the dispatcher routes balanced lists through the block-compare
-//! merge and lopsided ones through the vectorized galloping probe of
-//! [`crate::simd`]; [`set_simd_enabled`] can switch the vector paths off at
-//! runtime so benchmarks and tests can compare both inside one binary. All
-//! kernels assume strictly increasing, duplicate-free inputs and produce
-//! identical results on them.
+//! that chooses from the two lengths alone: galloping when the lists are
+//! very unbalanced ([`GALLOP_RATIO`]) — the regime of skewed social graphs —
+//! and, on x86_64, the block-compare merge and vectorized galloping probe of
+//! [`crate::simd`] once the shorter list reaches [`SIMD_MIN_LEN`]. Below
+//! that length, and on every other target, the scalar kernels here are what
+//! runs. All kernels assume strictly increasing, duplicate-free inputs and
+//! produce identical results on them.
 
 use et_graph::VertexId;
 use std::ops::ControlFlow;
@@ -24,41 +23,28 @@ use std::ops::ControlFlow;
 /// scalar merge wins through ratio ≈ 12 (gallop 1.08x slower), the two
 /// break even at ratio 16 (within 2%), and galloping wins from ratio 24 on
 /// (1.4x at 24, 4x at 128). The SIMD block merge shifts the crossover
-/// slightly higher, so 16 is the break-even choice for both builds.
+/// slightly higher, so 16 is the break-even choice for both kernel families.
 pub const GALLOP_RATIO: usize = 16;
 
-#[cfg(feature = "simd")]
-use std::sync::atomic::{AtomicBool, Ordering};
+/// Length of the shorter list from which the vector kernels run, on the
+/// one target that has them (x86_64).
+///
+/// Set from the `bench_e2e` sweep in EXPERIMENTS.md "PR 15" (`op_p50_ms`,
+/// scalar-only parent first): `social-build` 284.5 → 259.6 / 260.1 / 257.8 /
+/// 259.9 at 1 / 4 / 8 / 16, then 264.9 at 32 and 275.1 at 64 — flat through
+/// 16, the vector gain draining away above it; `mesh-build` (rows of 4 and
+/// 8) 143.2 → 149.3 / 149.6 at 1 / 4, where its lists reach the 4-lane block
+/// loop only to fall through to the scalar tail, and 144.7 from 8 on. 16 is
+/// the largest value that keeps the long-list gain, and the one that leaves
+/// the most short lists on the scalar loops.
+pub const SIMD_MIN_LEN: usize = 16;
 
-/// Runtime switch for the SIMD paths (meaningful only with the `simd`
-/// feature; default on). Lets one binary time scalar vs vector kernels.
-#[cfg(feature = "simd")]
-static SIMD_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables the SIMD intersection paths at runtime. A no-op
-/// without the `simd` cargo feature.
-pub fn set_simd_enabled(on: bool) {
-    #[cfg(feature = "simd")]
-    SIMD_ENABLED.store(on, Ordering::Relaxed);
-    #[cfg(not(feature = "simd"))]
-    let _ = on;
-}
-
-/// Whether this build carries the SIMD kernels (`simd` cargo feature).
-pub const fn simd_compiled() -> bool {
-    cfg!(feature = "simd")
-}
-
-/// Whether the adaptive dispatchers currently route through the SIMD
-/// kernels: compiled in *and* runtime-enabled.
+/// Whether the adaptive dispatchers hand lists whose shorter side has
+/// `small_len` elements to the vector kernels.
+#[cfg(target_arch = "x86_64")]
 #[inline]
-pub fn simd_active() -> bool {
-    #[cfg(feature = "simd")]
-    {
-        SIMD_ENABLED.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "simd"))]
-    false
+fn vector_wins(small_len: usize) -> bool {
+    small_len >= SIMD_MIN_LEN
 }
 
 /// Linear merge intersection; appends common elements to `out`.
@@ -229,14 +215,14 @@ fn gallop_to(large: &[VertexId], from: usize, x: VertexId) -> usize {
     lo + large[lo..hi].partition_point(|&y| y < x)
 }
 
-/// Whether the adaptive dispatcher picks galloping for these lengths.
+/// Whether the adaptive dispatchers pick galloping for these lengths.
 #[inline]
-fn gallop_wins(small_len: usize, large_len: usize) -> bool {
+pub(crate) fn gallop_wins(small_len: usize, large_len: usize) -> bool {
     large_len / small_len.max(1) >= GALLOP_RATIO
 }
 
 /// Adaptive intersection into a buffer: merge when balanced, gallop when
-/// lopsided (SIMD variants of both when compiled and enabled). `a` and `b`
+/// lopsided, the vector forms of both from [`SIMD_MIN_LEN`] up. `a` and `b`
 /// may be given in either order.
 #[inline]
 pub fn intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
@@ -244,14 +230,9 @@ pub fn intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
     if small.is_empty() {
         return;
     }
-    #[cfg(feature = "simd")]
-    if simd_active() {
-        if gallop_wins(small.len(), large.len()) {
-            crate::simd::gallop_into(small, large, out);
-        } else {
-            crate::simd::merge_into(small, large, out);
-        }
-        return;
+    #[cfg(target_arch = "x86_64")]
+    if vector_wins(small.len()) {
+        return crate::simd::intersect_into(small, large, out);
     }
     if gallop_wins(small.len(), large.len()) {
         gallop_intersect_into(small, large, out);
@@ -267,13 +248,9 @@ pub fn intersect_count(a: &[VertexId], b: &[VertexId]) -> usize {
     if small.is_empty() {
         return 0;
     }
-    #[cfg(feature = "simd")]
-    if simd_active() {
-        return if gallop_wins(small.len(), large.len()) {
-            crate::simd::gallop_count(small, large)
-        } else {
-            crate::simd::merge_count(small, large)
-        };
+    #[cfg(target_arch = "x86_64")]
+    if vector_wins(small.len()) {
+        return crate::simd::intersect_count(small, large);
     }
     if gallop_wins(small.len(), large.len()) {
         gallop_intersect_count(small, large)
@@ -284,11 +261,11 @@ pub fn intersect_count(a: &[VertexId], b: &[VertexId]) -> usize {
 
 /// Adaptive index-pair intersection: invokes `f(i, j)` for every
 /// `a[i] == b[j]` in ascending order until `f` breaks, choosing merge or
-/// gallop (and their SIMD variants) by the length ratio. Unlike
-/// [`intersect_into`], the reported indices always refer to `a` and `b` *as
-/// given* — the dispatcher un-swaps them when galloping from the smaller
-/// side. Whichever kernel runs, the pairs seen before a break are a prefix
-/// of the pairs an unbroken run reports.
+/// gallop by the length ratio and scalar or vector by the shorter length.
+/// Unlike [`intersect_into`], the reported indices always refer to `a` and
+/// `b` *as given* — the dispatcher un-swaps them when galloping from the
+/// smaller side. Whichever kernel runs, the pairs seen before a break are a
+/// prefix of the pairs an unbroken run reports.
 #[inline]
 pub fn try_intersect_matches(
     a: &[VertexId],
@@ -303,17 +280,13 @@ pub fn try_intersect_matches(
     if small.is_empty() {
         return ControlFlow::Continue(());
     }
+    #[cfg(target_arch = "x86_64")]
+    if vector_wins(small.len()) {
+        return crate::simd::try_intersect_matches(a, b, f);
+    }
     if gallop_wins(small.len(), large.len()) {
         let relay = |i: usize, j: usize| if small_is_a { f(i, j) } else { f(j, i) };
-        #[cfg(feature = "simd")]
-        if simd_active() {
-            return crate::simd::try_gallop_matches(small, large, relay);
-        }
         return try_gallop_matches(small, large, relay);
-    }
-    #[cfg(feature = "simd")]
-    if simd_active() {
-        return crate::simd::try_merge_matches(a, b, f);
     }
     try_merge_matches(a, b, f)
 }
@@ -409,20 +382,47 @@ mod tests {
         check_all(&small, &large, &[50]);
     }
 
+    /// The dispatchers' choice is a function of the two lengths alone.
     #[test]
-    fn simd_toggle_roundtrip() {
-        // Dispatchers agree with the scalar oracle whichever way the
-        // runtime switch points; the switch itself only matters when the
-        // `simd` feature is compiled in.
-        let a: Vec<VertexId> = (0..100).map(|x| x * 2).collect();
-        let b: Vec<VertexId> = (0..150).map(|x| x * 3).collect();
-        let expected = merge_intersect_count(&a, &b);
-        set_simd_enabled(false);
-        assert!(!simd_active());
-        assert_eq!(intersect_count(&a, &b), expected);
-        set_simd_enabled(true);
-        assert_eq!(simd_active(), simd_compiled());
-        assert_eq!(intersect_count(&a, &b), expected);
+    fn gallop_choice_follows_the_length_ratio() {
+        for small in [1usize, 3, 15, 16, 17, 256] {
+            assert!(!gallop_wins(small, small), "balanced {small}");
+            assert!(!gallop_wins(small, small * GALLOP_RATIO - 1), "{small}");
+            assert!(gallop_wins(small, small * GALLOP_RATIO), "{small}");
+            assert!(gallop_wins(small, small * GALLOP_RATIO * 4), "{small}");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn vector_choice_follows_the_shorter_length() {
+        assert!(!vector_wins(0));
+        assert!(!vector_wins(SIMD_MIN_LEN - 1));
+        assert!(vector_wins(SIMD_MIN_LEN));
+        assert!(vector_wins(SIMD_MIN_LEN * 100));
+    }
+
+    /// Lengths on both sides of the vector cutoff crossed with ratios on
+    /// both sides of `GALLOP_RATIO`: whichever of the four kernels the
+    /// dispatchers pick, they agree with the scalar kernels named above.
+    #[test]
+    fn dispatchers_agree_on_every_side_of_both_thresholds() {
+        for small_len in [1usize, 7, 15, 16, 17, 40] {
+            for ratio in [1, GALLOP_RATIO - 1, GALLOP_RATIO, 3 * GALLOP_RATIO] {
+                let large: Vec<VertexId> = (0..(small_len * ratio) as u32).map(|x| x * 2).collect();
+                let stride = (2 * ratio) as u32;
+                // Every element of `hit` is in `large`, every other of `mixed`.
+                let hit: Vec<VertexId> = (0..small_len as u32).map(|x| x * stride).collect();
+                let mixed: Vec<VertexId> =
+                    (0..small_len as u32).map(|x| x * stride + x % 2).collect();
+                let expected: Vec<VertexId> =
+                    mixed.iter().copied().filter(|x| x % 2 == 0).collect();
+                check_all(&hit, &large, &hit);
+                check_all(&large, &hit, &hit);
+                check_all(&mixed, &large, &expected);
+                check_all(&large, &mixed, &expected);
+            }
+        }
     }
 
     #[test]

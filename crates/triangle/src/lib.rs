@@ -6,7 +6,8 @@
 //! provides:
 //!
 //! * [`intersect`] — sorted-set intersection kernels (merge, binary-probe,
-//!   galloping) with an adaptive dispatcher,
+//!   galloping) with an adaptive dispatcher that also picks, on x86_64 and
+//!   from a length cutoff up, the SSE2 kernels of `simd`,
 //! * [`support`] — the merge-based Support kernel over an
 //!   [`et_graph::EdgeIndexedGraph`] (one intersection per edge, no auxiliary
 //!   structure: the pipeline's pick on degree-balanced graphs, the test
@@ -25,7 +26,7 @@ pub mod count;
 pub mod enumerate;
 pub mod intersect;
 pub mod oriented;
-#[cfg(feature = "simd")]
+#[cfg(target_arch = "x86_64")]
 pub mod simd;
 pub mod support;
 
@@ -34,6 +35,5 @@ pub use enumerate::{
     for_each_pivot_triangle_of_edge, for_each_triangle_of_edge, for_each_truss_triangle_of_edge,
     try_for_each_triangle_in_rows, try_for_each_triangle_of_edge,
 };
-pub use intersect::{set_simd_enabled, simd_active, simd_compiled};
 pub use oriented::{compute_support_oriented, compute_support_with_oriented};
 pub use support::{compute_support, compute_support_serial};

@@ -1,16 +1,16 @@
 //! Property tests for the intersection kernels: every implementation —
-//! scalar merge, scalar gallop, binary probe, the SIMD block merge and the
-//! vectorized galloping probe (when compiled), and the adaptive dispatchers
-//! under both runtime-toggle positions — agrees on randomized strictly
-//! increasing sets, and every breakable index-pair kernel stops on an exact
-//! prefix of its unbroken sequence, with deliberate stress on tail lengths
-//! around the SIMD lane width and `u32::MAX` boundary values.
+//! scalar merge, scalar gallop, binary probe, on x86_64 the SIMD block merge
+//! and the vectorized galloping probe called by name, and the adaptive
+//! dispatchers — agrees on randomized strictly increasing sets, and every
+//! breakable index-pair kernel stops on an exact prefix of its unbroken
+//! sequence, with deliberate stress on lengths around the SIMD lane width,
+//! around the dispatchers' vector cutoff, and on `u32::MAX` boundary values.
 
 use et_triangle::intersect::{
     binary_intersect_into, gallop_intersect_count, gallop_intersect_into, gallop_matches,
     intersect_count, intersect_into, intersect_matches, merge_intersect_count,
-    merge_intersect_into, merge_matches, set_simd_enabled, try_gallop_matches,
-    try_intersect_matches, try_merge_matches,
+    merge_intersect_into, merge_matches, try_gallop_matches, try_intersect_matches,
+    try_merge_matches, GALLOP_RATIO, SIMD_MIN_LEN,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,8 +52,8 @@ fn assert_breaks_visit_prefixes(
     }
 }
 
-/// Asserts every kernel and both dispatcher toggle positions agree with the
-/// oracle on `(a, b)`.
+/// Asserts every kernel and the dispatchers agree with the oracle on
+/// `(a, b)`.
 fn assert_all_agree(a: &[V], b: &[V]) {
     let expected = oracle(a, b);
     let ctx = || format!("|a|={} |b|={}", a.len(), b.len());
@@ -89,7 +89,7 @@ fn assert_all_agree(a: &[V], b: &[V]) {
     assert_eq!(pairs.len(), expected.len(), "gallop_matches {}", ctx());
     assert_breaks_visit_prefixes(&pairs, |f| try_gallop_matches(small, large, f), "gallop");
 
-    #[cfg(feature = "simd")]
+    #[cfg(target_arch = "x86_64")]
     {
         use et_triangle::simd;
         assert_eq!(simd::merge_count(a, b), expected.len(), "simd {}", ctx());
@@ -126,25 +126,21 @@ fn assert_all_agree(a: &[V], b: &[V]) {
         );
     }
 
-    // Adaptive dispatchers under both toggle positions (the toggle is a
-    // no-op without the `simd` feature, so this is cheap insurance there).
-    for simd_on in [false, true] {
-        set_simd_enabled(simd_on);
-        assert_eq!(intersect_count(a, b), expected.len(), "simd={simd_on}");
-        out.clear();
-        intersect_into(a, b, &mut out);
-        assert_eq!(out, expected, "simd={simd_on}");
-        pairs.clear();
-        intersect_matches(a, b, |i, j| pairs.push((i, j)));
-        assert!(pairs.iter().all(|&(i, j)| a[i] == b[j]), "simd={simd_on}");
-        assert_eq!(pairs.len(), expected.len(), "simd={simd_on}");
-        assert!(
-            pairs.windows(2).all(|w| w[0] < w[1]),
-            "matches out of order (simd={simd_on})"
-        );
-        assert_breaks_visit_prefixes(&pairs, |f| try_intersect_matches(a, b, f), "adaptive");
-    }
-    set_simd_enabled(true);
+    // The adaptive dispatchers, whichever of the kernels above they pick.
+    assert_eq!(intersect_count(a, b), expected.len(), "{}", ctx());
+    out.clear();
+    intersect_into(a, b, &mut out);
+    assert_eq!(out, expected, "adaptive {}", ctx());
+    pairs.clear();
+    intersect_matches(a, b, |i, j| pairs.push((i, j)));
+    assert!(pairs.iter().all(|&(i, j)| a[i] == b[j]), "{}", ctx());
+    assert_eq!(pairs.len(), expected.len(), "adaptive {}", ctx());
+    assert!(
+        pairs.windows(2).all(|w| w[0] < w[1]),
+        "matches out of order {}",
+        ctx()
+    );
+    assert_breaks_visit_prefixes(&pairs, |f| try_intersect_matches(a, b, f), "adaptive");
 }
 
 /// Strictly increasing random set of the exact requested length, drawn from
@@ -193,6 +189,36 @@ fn tail_lengths_around_lane_width() {
             assert_all_agree(&a, &c);
             let d: Vec<V> = (0..lb as V).map(|x| x * 3 + 1).collect();
             assert_all_agree(&a, &d);
+        }
+    }
+}
+
+#[test]
+fn lengths_around_the_vector_cutoff_and_the_gallop_ratio() {
+    // The shorter list one below, at and above the dispatchers' cutoff (and a
+    // lane tail past it), against longer lists on both sides of the gallop
+    // ratio: scalar merge, scalar gallop, vector merge and vector gallop are
+    // each what the dispatcher picks for some pair here.
+    let mut rng = StdRng::seed_from_u64(15);
+    for small_len in [
+        SIMD_MIN_LEN - 1,
+        SIMD_MIN_LEN,
+        SIMD_MIN_LEN + 1,
+        SIMD_MIN_LEN + 6,
+    ] {
+        for large_len in [
+            small_len,
+            small_len + 3,
+            small_len * GALLOP_RATIO - 1,
+            small_len * GALLOP_RATIO,
+            small_len * GALLOP_RATIO * 3 + 2,
+        ] {
+            for span in [3 * large_len as u64 / 2, 4 * large_len as u64, 1_000_000] {
+                let a = random_set(&mut rng, small_len, span);
+                let b = random_set(&mut rng, large_len, span);
+                assert_all_agree(&a, &b);
+                assert_all_agree(&b, &a);
+            }
         }
     }
 }

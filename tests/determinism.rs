@@ -3,8 +3,7 @@
 //! depends on it).
 
 use parallel_equitruss::equitruss::{
-    build_index, build_index_with_decomposition_scheduled, build_index_with_options,
-    build_original, KernelTimings, Schedule, SuperGraph, SupportKernel, Variant,
+    build_index, build_index_with_decomposition, build_original, KernelTimings, SuperGraph, Variant,
 };
 use parallel_equitruss::gen;
 use parallel_equitruss::graph::EdgeIndexedGraph;
@@ -59,40 +58,10 @@ fn every_variant_is_thread_invariant() {
     }
 }
 
-/// All three variants, under both the wave scheduler and the paper's per-k
-/// loop, at 1 and 4 threads, must produce one canonical index.
+/// The file is the contract: every variant at 1, 4 and 8 threads writes, byte
+/// for byte, the `.etidx` the serial Original writes.
 #[test]
-fn schedules_are_thread_invariant_and_equivalent() {
-    let g = EdgeIndexedGraph::new(gen::overlapping_cliques(300, 70, (3, 7), 120, 33));
-    for variant in Variant::ALL {
-        let reference = in_pool(1, || {
-            build_index_with_options(&g, variant, SupportKernel::default(), Schedule::PerK)
-                .index
-                .canonical()
-        });
-        for schedule in Schedule::ALL {
-            for threads in [1usize, 4] {
-                let c = in_pool(threads, || {
-                    build_index_with_options(&g, variant, SupportKernel::default(), schedule)
-                        .index
-                        .canonical()
-                });
-                assert_eq!(
-                    c,
-                    reference,
-                    "variant {} schedule {} threads {threads}",
-                    variant.name(),
-                    schedule.name()
-                );
-            }
-        }
-    }
-}
-
-/// The file is the contract: every variant under both schedules at 1, 4 and
-/// 8 threads writes, byte for byte, the `.etidx` the serial Original writes.
-#[test]
-fn etidx_bytes_equal_original_for_every_variant_schedule_and_thread_count() {
+fn etidx_bytes_equal_original_for_every_variant_and_thread_count() {
     // Skewed and clique-rich: dozens of superedges between many Φ_k groups.
     let g = EdgeIndexedGraph::new(gen::rmat_with_cliques(
         gen::RmatConfig::graph500(10, 8, 13),
@@ -111,23 +80,15 @@ fn etidx_bytes_equal_original_for_every_variant_schedule_and_thread_count() {
     assert!(original.num_superedges() > 0);
     let reference = etidx_bytes(&original, "original");
     for variant in Variant::ALL {
-        for schedule in Schedule::ALL {
-            for threads in [1usize, 4, 8] {
-                let index = in_pool(threads, || {
-                    build_index_with_decomposition_scheduled(
-                        &g,
-                        &tau,
-                        variant,
-                        schedule,
-                        &mut KernelTimings::default(),
-                    )
-                });
-                let name = format!("{}-{}-{threads}", variant.name(), schedule.name());
-                assert!(
-                    etidx_bytes(&index, &name) == reference,
-                    "{name}: .etidx differs from Original's"
-                );
-            }
+        for threads in [1usize, 4, 8] {
+            let index = in_pool(threads, || {
+                build_index_with_decomposition(&g, &tau, variant, &mut KernelTimings::default())
+            });
+            let name = format!("{}-{threads}", variant.name());
+            assert!(
+                etidx_bytes(&index, &name) == reference,
+                "{name}: .etidx differs from Original's"
+            );
         }
     }
 }

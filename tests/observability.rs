@@ -3,7 +3,7 @@
 //! counters each variant promises.
 
 use parallel_equitruss::equitruss::{
-    build_index, build_index_with_options, Schedule, SupportKernel, Variant,
+    build_index, build_index_with_options, SupportKernel, Variant,
 };
 use parallel_equitruss::graph::EdgeIndexedGraph;
 use parallel_equitruss::obs;
@@ -76,8 +76,8 @@ fn chrome_trace_has_kernel_spans_and_counters() {
             "missing {kernel} spans in {names:?}"
         );
     }
-    // The wave schedule (the default) wraps the per-k kernels in one outer
-    // span per wave per variant run.
+    // Each wave wraps its per-k / per-task kernels in one outer span per
+    // variant run.
     for wave in ["SpNodeWave", "SpEdgeWave"] {
         assert_eq!(
             names.iter().filter(|n| **n == wave).count(),
@@ -311,12 +311,7 @@ fn wave_occupancy_metrics_cover_the_pipeline() {
     obs::reset();
     // The oriented arm is pinned: it is the Support kernel that runs as a
     // wave (the default pick on this balanced graph is the flat merge).
-    build_index_with_options(
-        &eg,
-        Variant::Afforest,
-        SupportKernel::Oriented,
-        Schedule::default(),
-    );
+    build_index_with_options(&eg, Variant::Afforest, SupportKernel::Oriented);
     obs::set_enabled(false);
     let snap = obs::snapshot();
     obs::reset();
