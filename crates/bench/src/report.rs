@@ -1,11 +1,12 @@
 //! Tabular experiment reports: aligned console output + JSON persistence.
 
-use serde::Serialize;
+use et_core::timings::Kernel;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::Path;
 
 /// A titled table of experiment results.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Report {
     /// Which paper artifact this reproduces (e.g. "Figure 5").
     pub title: String,
@@ -17,11 +18,9 @@ pub struct Report {
     pub rows: Vec<Vec<String>>,
     /// Per-configuration kernel timings (label → per-kernel seconds),
     /// machine-readable counterpart of the formatted duration cells.
-    #[serde(skip_serializing_if = "BTreeMap::is_empty")]
     pub timings: BTreeMap<String, et_core::KernelTimings>,
     /// Observability counters recorded while the experiment ran (present
     /// only when tracing was enabled).
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub metrics: Option<et_obs::MetricsSnapshot>,
 }
 
@@ -103,13 +102,108 @@ impl Report {
         println!();
     }
 
+    /// The report as a JSON object: `title`, `notes`, `headers`, `rows`,
+    /// then `timings` (label → seconds per kernel, with the
+    /// `index_construction` / `total` rollups and, where memory was tracked,
+    /// a `mem` map) and `metrics`, each only when there is something in it.
+    pub fn to_json(&self) -> String {
+        let mut out = String::from("{\n  \"title\": ");
+        json_string(&mut out, &self.title);
+        out.push_str(",\n  \"notes\": ");
+        json_strings(&mut out, &self.notes);
+        out.push_str(",\n  \"headers\": ");
+        json_strings(&mut out, &self.headers);
+        out.push_str(",\n  \"rows\": [");
+        for (i, row) in self.rows.iter().enumerate() {
+            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+            json_strings(&mut out, row);
+        }
+        out.push_str("\n  ]");
+        if !self.timings.is_empty() {
+            out.push_str(",\n  \"timings\": {");
+            for (i, (label, timings)) in self.timings.iter().enumerate() {
+                out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+                json_string(&mut out, label);
+                out.push_str(": ");
+                json_timings(&mut out, timings);
+            }
+            out.push_str("\n  }");
+        }
+        if let Some(metrics) = &self.metrics {
+            out.push_str(",\n  \"metrics\": ");
+            out.push_str(&metrics.to_json());
+        }
+        out.push_str("\n}\n");
+        out
+    }
+
     /// Persists the report as JSON under `dir/<slug>.json`.
     pub fn save_json(&self, dir: &Path, slug: &str) -> std::io::Result<()> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{slug}.json"));
-        let json = serde_json::to_string_pretty(self).expect("report serializes");
-        std::fs::write(path, json)
+        std::fs::write(dir.join(format!("{slug}.json")), self.to_json())
     }
+}
+
+/// Appends `s` as a JSON string literal.
+fn json_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Appends `items` as a JSON array of strings.
+fn json_strings(out: &mut String, items: &[String]) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        json_string(out, item);
+    }
+    out.push(']');
+}
+
+/// Appends one configuration's kernel timings as a JSON object.
+fn json_timings(out: &mut String, t: &et_core::KernelTimings) {
+    let seconds = [
+        ("support", t.support),
+        ("truss_decomp", t.truss_decomp),
+        ("init", t.init),
+        ("spnode", t.spnode),
+        ("spedge", t.spedge),
+        ("smgraph", t.smgraph),
+        ("spnode_remap", t.spnode_remap),
+        ("hierarchy", t.hierarchy),
+        ("index_construction", t.index_construction()),
+        ("total", t.total()),
+    ];
+    out.push('{');
+    for (i, (name, duration)) in seconds.into_iter().enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        write!(out, "{sep}\"{name}\": {:?}", duration.as_secs_f64()).unwrap();
+    }
+    let mem: Vec<String> = Kernel::ALL
+        .iter()
+        .map(|kernel| (kernel.name(), &t.mem[kernel.index()]))
+        .filter(|(_, mem)| !mem.is_zero())
+        .map(|(name, mem)| {
+            format!(
+                "\"{name}\": {{\"alloc_bytes\": {}, \"peak_bytes\": {}}}",
+                mem.alloc_bytes, mem.peak_bytes
+            )
+        })
+        .collect();
+    if !mem.is_empty() {
+        write!(out, ", \"mem\": {{{}}}", mem.join(", ")).unwrap();
+    }
+    out.push('}');
 }
 
 /// Formats a duration in adaptive units (µs/ms/s) for table cells.
@@ -172,20 +266,34 @@ mod tests {
 
     #[test]
     fn timings_serialize_as_seconds() {
-        let mut r = Report::new("t", &["a"]);
-        let kt = et_core::KernelTimings {
+        let mut r = Report::new("t \"quoted\"", &["a"]);
+        let mut kt = et_core::KernelTimings {
             spnode: Duration::from_millis(1500),
             support: Duration::from_millis(250),
             ..Default::default()
         };
         r.attach_timings("orkut/afforest/t8", kt);
-        let json = serde_json::to_value(&r).unwrap();
-        let t = &json["timings"]["orkut/afforest/t8"];
-        assert_eq!(t["spnode"], 1.5);
-        assert_eq!(t["support"], 0.25);
-        assert_eq!(t["smgraph"], 0.0);
-        assert_eq!(t["index_construction"], 1.5);
-        assert_eq!(t["total"], 1.75);
+        let json = r.to_json();
+        assert!(json.contains(r#""title": "t \"quoted\"""#), "{json}");
+        assert!(
+            json.contains(r#""orkut/afforest/t8": {"support": 0.25, "#),
+            "{json}"
+        );
+        assert!(
+            json.contains(r#""spnode": 1.5, "spedge": 0.0, "smgraph": 0.0, "#),
+            "{json}"
+        );
+        assert!(
+            json.contains(r#""index_construction": 1.5, "total": 1.75}"#),
+            "{json}"
+        );
+        assert!(!json.contains("mem"), "{json}");
+
+        kt.mem[Kernel::SpNode.index()].alloc_bytes = 64;
+        kt.mem[Kernel::SpNode.index()].peak_bytes = 128;
+        r.attach_timings("orkut/afforest/t8", kt);
+        let mem = r#""total": 1.75, "mem": {"SpNode": {"alloc_bytes": 64, "peak_bytes": 128}}}"#;
+        assert!(r.to_json().contains(mem), "{}", r.to_json());
     }
 
     #[test]
@@ -197,7 +305,10 @@ mod tests {
         let mut snap = et_obs::MetricsSnapshot::default();
         snap.counters.insert("sv.grafts".into(), 42);
         r.attach_metrics(snap);
-        let json = serde_json::to_value(&r).unwrap();
-        assert_eq!(json["metrics"]["counters"]["sv.grafts"], 42);
+        let json = r.to_json();
+        assert!(
+            json.contains(r#""metrics": {"counters": {"sv.grafts": 42}"#),
+            "{json}"
+        );
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The atomic version implements the `link`/`compress` primitives of the
 //! Afforest paper (priority hooking: roots always point to smaller ids, so
-//! concurrent links cannot cycle), shared by the generic [`crate::afforest`]
-//! and the edge-entity Afforest in `et-core`.
+//! concurrent links cannot cycle), used by the edge-CC engine's drivers
+//! ([`crate::engine`]).
 
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};

@@ -6,8 +6,8 @@
 //!
 //! * [`dsu`] — sequential and atomic (lock-free) union-find.
 //! * [`engine`] — the shared **edge-CC engine**: Shiloach–Vishkin (reference
-//!   [39], the paper's *Baseline* and *C-Optimal*) and Afforest (Sutton,
-//!   Ben-Nun & Barak, IPDPS 2018; reference [43], the paper's best
+//!   \[39\], the paper's *Baseline* and *C-Optimal*) and Afforest (Sutton,
+//!   Ben-Nun & Barak, IPDPS 2018; reference \[43\], the paper's best
 //!   performer) drivers over a [`engine::TriangleAdjacency`] view of
 //!   "k-triangle neighbors of edge e"; `et-core`'s three paper variants and
 //!   `et-dynamic`'s rebuild path are policies over it.

@@ -14,7 +14,7 @@
 //!   EquiTruss index (each community is a union of supernodes reachable
 //!   through supernodes of trussness ≥ k); the hierarchy engine's oracle,
 //! * [`tcp::TcpIndex`] — the TCP-Index of Huang et al. (SIGMOD 2014;
-//!   reference [22]), the prior state of the art EquiTruss improves on:
+//!   reference \[22\]), the prior state of the art EquiTruss improves on:
 //!   per-vertex maximum spanning forests over triangle-weighted neighbor
 //!   graphs,
 //! * [`ground_truth::brute_force_communities`] — peel-and-union directly

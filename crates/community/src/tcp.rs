@@ -1,5 +1,5 @@
 //! TCP-Index (Triangle-Connectivity-Preserving index) — Huang et al.,
-//! SIGMOD 2014 (reference [22] of the paper).
+//! SIGMOD 2014 (reference \[22\] of the paper).
 //!
 //! The prior state of the art that EquiTruss improves on. Per vertex x it
 //! keeps a *maximum spanning forest* T_x of the neighbor graph G_x, where

@@ -2,7 +2,7 @@
 //!
 //! The Afforest driver of the shared edge-CC engine with the
 //! [`crate::engine::CsrTriangleView`] resolution policy — adapting Afforest
-//! (Sutton et al., reference [43]) to the edge-induced graph of one Φ_k
+//! (Sutton et al., reference \[43\]) to the edge-induced graph of one Φ_k
 //! group, on top of the C-Optimal data layout:
 //!
 //! 1. **neighbor rounds** — each edge lock-free-links to its first `r`

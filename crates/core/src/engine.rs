@@ -84,7 +84,7 @@ impl TriangleAdjacency for DictTriangleView<'_> {
 /// triangle: none unless the triangle lies inside the k-truss, then each
 /// of the two with trussness exactly `k`, `e1` first.
 #[inline]
-pub fn same_k_partners(
+fn same_k_partners(
     trussness: &[u32],
     k: u32,
     e1: EdgeId,
@@ -109,7 +109,7 @@ pub fn same_k_partners(
 /// neighborhood merge.
 ///
 /// `rows` may be the graph's rows or any view filtered to `τ ≥ t` with
-/// `t ≤ k`: [`same_k_partners`] rejects every triangle with an edge below
+/// `t ≤ k`: `same_k_partners` rejects every triangle with an edge below
 /// `k`, so the arcs such a view drops never contributed a partner and the
 /// partner sequence of every edge is the same over either.
 pub struct CsrTriangleView<'a> {

@@ -149,6 +149,27 @@ impl SuperGraph {
         }
     }
 
+    /// The same index over another edge-id space: edge `e` becomes
+    /// `new_id[e]` among `capacity` ids, and ids no edge maps to carry
+    /// [`NO_SUPERNODE`]. Supernode ids, superedges and the adjacency are in
+    /// supernode ids and stay as they are; each member slice is re-sorted.
+    pub fn relabel_edges(mut self, new_id: &[EdgeId], capacity: usize) -> Self {
+        assert_eq!(new_id.len(), self.edge_supernode.len());
+        let mut edge_supernode = vec![NO_SUPERNODE; capacity];
+        for (&sn, &id) in self.edge_supernode.iter().zip(new_id) {
+            edge_supernode[id as usize] = sn;
+        }
+        self.edge_supernode = edge_supernode.into();
+        let members = self.sn_members.to_mut();
+        for e in members.iter_mut() {
+            *e = new_id[*e as usize];
+        }
+        for bounds in self.sn_offsets.windows(2) {
+            members[bounds[0]..bounds[1]].sort_unstable();
+        }
+        self
+    }
+
     /// The storage backend of the index arrays ("owned" / "mapped").
     pub fn storage_backend(&self) -> &'static str {
         if self.sn_trussness.is_mapped()
@@ -294,6 +315,22 @@ mod tests {
         edge_sn[1] = 1; // move edge 1 to the other supernode
         let b = SuperGraph::assemble(5, edge_sn, vec![3, 4], vec![(0, 1)]);
         assert_ne!(a.canonical(), b.canonical());
+    }
+
+    #[test]
+    fn relabel_edges_moves_members_and_nothing_else() {
+        // Ids 0..5 scattered over 8 slots, out of order; slots 1, 4, 6 dead.
+        let new_id = [7, 2, 5, 0, 3];
+        let idx = toy_index().relabel_edges(&new_id, 8);
+        let dead = NO_SUPERNODE;
+        assert_eq!(idx.edge_supernode, vec![1, dead, 0, dead, dead, 1, dead, 0]);
+        assert_eq!(idx.members(0), &[2, 7]);
+        assert_eq!(idx.members(1), &[0, 5]);
+        let toy = toy_index();
+        assert_eq!(idx.sn_trussness, toy.sn_trussness);
+        assert_eq!(idx.superedges, toy.superedges);
+        assert_eq!(idx.adj_offsets, toy.adj_offsets);
+        assert_eq!(idx.adj_targets, toy.adj_targets);
     }
 
     #[test]

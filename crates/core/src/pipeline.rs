@@ -27,7 +27,6 @@ use et_graph::{EdgeId, EdgeIndexedGraph, ShapeStats};
 use et_truss::TrussDecomposition;
 use rayon::prelude::*;
 use std::sync::atomic::AtomicU32;
-use std::sync::Arc;
 
 /// Which parallel construction to run (Table 2 of the paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -139,15 +138,6 @@ pub struct IndexBuild {
     pub hierarchy: TrussHierarchy,
     /// Per-kernel wall-clock times.
     pub timings: KernelTimings,
-}
-
-impl IndexBuild {
-    /// Wraps the build in an [`Arc`] for lock-free sharing across query
-    /// threads (the shape `et-serve` snapshots publish). Readers clone the
-    /// `Arc`, never the index.
-    pub fn into_shared(self) -> Arc<IndexBuild> {
-        Arc::new(self)
-    }
 }
 
 // Compile-time proof that the query-side structures are safe to share
@@ -284,6 +274,7 @@ mod tests {
     use super::*;
     use crate::original::build_original;
     use et_truss::decompose_serial;
+    use std::sync::Arc;
 
     fn check_all_variants_match_original(graph: et_graph::CsrGraph, label: &str) {
         let eg = EdgeIndexedGraph::new(graph);
@@ -329,7 +320,7 @@ mod tests {
         let eg = EdgeIndexedGraph::new(et_gen::overlapping_cliques(100, 20, (3, 6), 40, 7));
         let build = build_index(&eg, Variant::Afforest);
         let reference = build.index.canonical();
-        let shared = build.into_shared();
+        let shared = Arc::new(build);
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 let shared = Arc::clone(&shared);

@@ -14,9 +14,9 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// Renumbers Π roots densely and assembles the index.
 ///
 /// * `parent` — finalized Π (roots fully compressed within each Φ_k),
-/// * `merged_superedges` — output of [`crate::smgraph::merge_supergraph`],
+/// * `merged_superedges` — output of `smgraph::merge_supergraph`,
 /// * `phi` — the Φ_k grouping (provides the deterministic id order).
-pub fn remap_and_assemble(
+pub(crate) fn remap_and_assemble(
     num_edges: usize,
     parent: &[AtomicU32],
     merged_superedges: &[RootPair],

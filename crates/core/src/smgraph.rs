@@ -29,7 +29,7 @@ fn pair_hash(a: u32, b: u32) -> u64 {
 /// Runs Algorithm 4: merges `subsets` into a sorted, deduplicated superedge
 /// list. `num_partitions` plays the role of `num_threads` in the paper (any
 /// positive value gives the same result).
-pub fn merge_supergraph(subsets: &[Vec<RootPair>], num_partitions: usize) -> Vec<RootPair> {
+pub(crate) fn merge_supergraph(subsets: &[Vec<RootPair>], num_partitions: usize) -> Vec<RootPair> {
     let t = num_partitions.max(1);
     if subsets.is_empty() {
         return Vec::new();

@@ -1,28 +1,25 @@
 //! SpEdge — parallel superedge creation.
 //!
-//! Two formulations that emit the same candidate *set*:
+//! [`spedge_triangle_once`] is the pass every build runs. Every triangle is
+//! visited once, from its *pivot* edge (the edge between its two smallest
+//! vertices), with all three trussness values in hand, and emits the pairs
+//! Algorithm 3 would have emitted from its three visits. Needs Π final for
+//! *every* group, which the SpNode wave's barrier provides.
 //!
-//! * [`spedge_group`] — Algorithm 3 verbatim: the reference this module's
-//!   tests hold the triangle-once pass to, and (as [`spedge_group_with`],
-//!   over hash-set adjacency) what et-dynamic runs per rebuilt level. For
-//!   each edge e of the current Φ_k set, every triangle through e is
-//!   examined; when e's trussness k strictly exceeds the triangle's minimum
-//!   trussness, a superedge is recorded from the supernode of the minimum
-//!   edge up to the supernode of e ("create superedge downward", ln. 9–12).
-//!   Every triangle is walked from each of its three edges.
-//! * [`spedge_triangle_once`] — the pass every build runs. Every triangle is
-//!   visited once, from its *pivot* edge (the edge between its two smallest
-//!   vertices), with all three trussness values in hand, and emits the
-//!   pairs Algorithm 3 would have emitted from its three visits. Needs Π
-//!   final for *every* group, which the SpNode wave's barrier provides.
+//! Algorithm 3 verbatim — for each edge e of a Φ_k set, every triangle
+//! through e is examined; when e's trussness k strictly exceeds the
+//! triangle's minimum trussness, a superedge is recorded from the supernode
+//! of the minimum edge up to the supernode of e ("create superedge downward",
+//! ln. 9–12), so every triangle is walked from each of its three edges — is
+//! kept as `spedge_group` in this module's tests, which hold the
+//! triangle-once pass to its candidate *set*.
 //!
-//! Either way each parallel job appends into its own subset — the
-//! thread-local `sp_edges[tid]` of the paper — so no synchronization is
-//! needed; the subsets are merged later by Algorithm 4 (see
-//! [`crate::smgraph`]).
+//! Each parallel job appends into its own subset — the thread-local
+//! `sp_edges[tid]` of the paper — so no synchronization is needed; the
+//! subsets are merged later by Algorithm 4 (see [`crate::smgraph`]).
 
 use et_graph::{schedule, EdgeId, EdgeIndexedGraph};
-use et_triangle::{for_each_pivot_triangle_of_edge, for_each_triangle_of_edge};
+use et_triangle::for_each_pivot_triangle_of_edge;
 use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -31,72 +28,6 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// Π-root of the higher-trussness supernode)`. Roots are edge ids; the
 /// SpNodeRemap kernel translates them to dense supernode ids.
 pub type RootPair = (u32, u32);
-
-/// Runs Algorithm 3 for one Φ_k group, appending each job's thread-local
-/// subset of superedge candidates to `subsets`.
-///
-/// Must run after SpNode has finalized Π for every trussness ≤ k — the
-/// paper invokes it "consecutively upon the same Φ_k"; after the SpNode wave
-/// barrier *every* group is final.
-pub fn spedge_group(
-    graph: &EdgeIndexedGraph,
-    trussness: &[u32],
-    k: u32,
-    phi_k: &[EdgeId],
-    parent: &[AtomicU32],
-    subsets: &mut Vec<Vec<RootPair>>,
-) {
-    spedge_group_with(
-        &|e, f: &mut dyn FnMut(EdgeId, EdgeId)| {
-            for_each_triangle_of_edge(graph, e, |_, e1, e2| f(e1, e2));
-        },
-        trussness,
-        k,
-        phi_k,
-        parent,
-        subsets,
-    );
-}
-
-/// [`spedge_group`] over an arbitrary triangle source: `triangles(e, f)`
-/// must invoke `f(e1, e2)` once per triangle through `e`. This is the form
-/// shared with the dynamic index, whose triangles come from hash-set
-/// adjacency instead of CSR.
-pub fn spedge_group_with<T>(
-    triangles: &T,
-    trussness: &[u32],
-    k: u32,
-    phi_k: &[EdgeId],
-    parent: &[AtomicU32],
-    subsets: &mut Vec<Vec<RootPair>>,
-) where
-    T: Fn(EdgeId, &mut dyn FnMut(EdgeId, EdgeId)) + Sync,
-{
-    let new_subsets: Vec<Vec<RootPair>> = phi_k
-        .par_iter()
-        .fold(Vec::new, |mut acc: Vec<RootPair>, &e| {
-            let pe = parent[e as usize].load(Ordering::Relaxed);
-            triangles(e, &mut |e1, e2| {
-                let (k1, k2) = (trussness[e1 as usize], trussness[e2 as usize]);
-                let lowest = k.min(k1).min(k2);
-                if lowest < 3 {
-                    return; // unindexed edge in the triangle — no superedge
-                }
-                // "Create superedge downward, k > k1" (ln. 9–10).
-                if k > lowest && lowest == k1 {
-                    acc.push((parent[e1 as usize].load(Ordering::Relaxed), pe));
-                }
-                // "Create superedge downward, k > k2" (ln. 11–12).
-                if k > lowest && lowest == k2 {
-                    acc.push((parent[e2 as usize].load(Ordering::Relaxed), pe));
-                }
-            });
-            acc
-        })
-        .collect();
-    record_subset_stats(&new_subsets);
-    subsets.extend(new_subsets.into_iter().filter(|s| !s.is_empty()));
-}
 
 /// Tasks per worker for the triangle-once wave.
 const TASKS_PER_THREAD: usize = 8;
@@ -211,7 +142,43 @@ mod tests {
     use crate::coptimal::spnode_group_coptimal;
     use crate::phi::PhiGroups;
     use et_graph::RowView;
+    use et_triangle::for_each_triangle_of_edge;
     use et_truss::decompose_serial;
+
+    /// Algorithm 3 for one Φ_k group, one subset per fold job appended to
+    /// `subsets`. Needs Π final for every trussness ≤ k.
+    fn spedge_group(
+        graph: &EdgeIndexedGraph,
+        trussness: &[u32],
+        k: u32,
+        phi_k: &[EdgeId],
+        parent: &[AtomicU32],
+        subsets: &mut Vec<Vec<RootPair>>,
+    ) {
+        let new_subsets: Vec<Vec<RootPair>> = phi_k
+            .par_iter()
+            .fold(Vec::new, |mut acc: Vec<RootPair>, &e| {
+                let pe = parent[e as usize].load(Ordering::Relaxed);
+                for_each_triangle_of_edge(graph, e, |_, e1, e2| {
+                    let (k1, k2) = (trussness[e1 as usize], trussness[e2 as usize]);
+                    let lowest = k.min(k1).min(k2);
+                    if lowest < 3 {
+                        return; // unindexed edge in the triangle — no superedge
+                    }
+                    // "Create superedge downward, k > k1" (ln. 9–10).
+                    if k > lowest && lowest == k1 {
+                        acc.push((parent[e1 as usize].load(Ordering::Relaxed), pe));
+                    }
+                    // "Create superedge downward, k > k2" (ln. 11–12).
+                    if k > lowest && lowest == k2 {
+                        acc.push((parent[e2 as usize].load(Ordering::Relaxed), pe));
+                    }
+                });
+                acc
+            })
+            .collect();
+        subsets.extend(new_subsets.into_iter().filter(|s| !s.is_empty()));
+    }
 
     /// Builds Π and collects all superedge candidates for a graph.
     fn run(eg: &EdgeIndexedGraph) -> (Vec<u32>, Vec<Vec<RootPair>>) {

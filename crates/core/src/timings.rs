@@ -132,7 +132,7 @@ impl KernelTimings {
     }
 
     /// The timing slot of one kernel.
-    pub fn slot_mut(&mut self, kernel: Kernel) -> &mut Duration {
+    fn slot_mut(&mut self, kernel: Kernel) -> &mut Duration {
         match kernel {
             Kernel::Support => &mut self.support,
             Kernel::TrussDecomp => &mut self.truss_decomp,
@@ -164,22 +164,6 @@ impl KernelTimings {
         ]
     }
 
-    /// Percentage breakdown of the total, in [`KernelTimings::rows`] order.
-    pub fn percentages(&self) -> Vec<(&'static str, f64)> {
-        let total = self.total().as_secs_f64();
-        self.rows()
-            .into_iter()
-            .map(|(name, d)| {
-                let pct = if total > 0.0 {
-                    100.0 * d.as_secs_f64() / total
-                } else {
-                    0.0
-                };
-                (name, pct)
-            })
-            .collect()
-    }
-
     /// Element-wise sum (for averaging repeated runs). Memory peaks take
     /// the max across runs; allocation bytes add.
     pub fn accumulate(&mut self, other: &KernelTimings) {
@@ -195,51 +179,6 @@ impl KernelTimings {
             mine.alloc_bytes += theirs.alloc_bytes;
             mine.peak_bytes = mine.peak_bytes.max(theirs.peak_bytes);
         }
-    }
-}
-
-/// Serializes as a flat map of float seconds per kernel (plus `total` and
-/// `index_construction` rollups) — the machine-readable form embedded in
-/// experiment reports. When any kernel carried memory accounting, a `mem`
-/// sub-map adds `{kernel: {alloc_bytes, peak_bytes}}` per non-empty kernel.
-#[cfg(feature = "serde")]
-impl serde::Serialize for KernelTimings {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeMap;
-        let mut map = serializer.serialize_map(None)?;
-        map.serialize_entry("support", &self.support.as_secs_f64())?;
-        map.serialize_entry("truss_decomp", &self.truss_decomp.as_secs_f64())?;
-        map.serialize_entry("init", &self.init.as_secs_f64())?;
-        map.serialize_entry("spnode", &self.spnode.as_secs_f64())?;
-        map.serialize_entry("spedge", &self.spedge.as_secs_f64())?;
-        map.serialize_entry("smgraph", &self.smgraph.as_secs_f64())?;
-        map.serialize_entry("spnode_remap", &self.spnode_remap.as_secs_f64())?;
-        map.serialize_entry("hierarchy", &self.hierarchy.as_secs_f64())?;
-        map.serialize_entry(
-            "index_construction",
-            &self.index_construction().as_secs_f64(),
-        )?;
-        map.serialize_entry("total", &self.total().as_secs_f64())?;
-        if self.mem.iter().any(|m| !m.is_zero()) {
-            let mem: std::collections::BTreeMap<
-                &'static str,
-                std::collections::BTreeMap<&'static str, u64>,
-            > = Kernel::ALL
-                .iter()
-                .filter(|k| !self.mem[k.index()].is_zero())
-                .map(|k| {
-                    let m = &self.mem[k.index()];
-                    (
-                        k.name(),
-                        [("alloc_bytes", m.alloc_bytes), ("peak_bytes", m.peak_bytes)]
-                            .into_iter()
-                            .collect(),
-                    )
-                })
-                .collect();
-            map.serialize_entry("mem", &mem)?;
-        }
-        map.end()
     }
 }
 
@@ -280,7 +219,7 @@ mod tests {
     static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
-    fn totals_and_percentages() {
+    fn totals() {
         let t = KernelTimings {
             support: Duration::from_millis(10),
             spnode: Duration::from_millis(30),
@@ -288,17 +227,6 @@ mod tests {
         };
         assert_eq!(t.total(), Duration::from_millis(40));
         assert_eq!(t.index_construction(), Duration::from_millis(30));
-        let pct = t.percentages();
-        let spnode = pct.iter().find(|(n, _)| *n == "SpNode").unwrap().1;
-        assert!((spnode - 75.0).abs() < 1e-9);
-        let sum: f64 = pct.iter().map(|(_, p)| p).sum();
-        assert!((sum - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_percentages_are_zero() {
-        let t = KernelTimings::default();
-        assert!(t.percentages().iter().all(|&(_, p)| p == 0.0));
     }
 
     #[test]

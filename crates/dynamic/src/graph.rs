@@ -1,8 +1,7 @@
 //! Adjacency-list graph with stable, recycled edge ids.
 
-use et_graph::{CsrGraph, EdgeId, EdgeIndexedGraph, GraphBuilder, VertexId};
+use et_graph::{CsrGraph, EdgeId, EdgeIndexedGraph, VertexId};
 use std::fmt;
-use std::ops::ControlFlow;
 
 /// The u32 id space is exhausted: assigning one more vertex or edge id
 /// would collide with the reserved `u32::MAX` sentinel or wrap around.
@@ -63,10 +62,10 @@ fn check_vertex_count(n: usize) -> Result<(), CapacityError> {
 
 /// A mutable simple undirected graph whose edge ids survive updates.
 ///
-/// Neighbor lists are kept sorted by neighbor id, so triangle enumeration is
-/// the same merge used by the static kernels. Deleted edge ids go to a free
-/// list and may be reused by later insertions; id slots of deleted edges
-/// report no endpoints.
+/// Neighbor lists are kept sorted by neighbor id, so the rows are a CSR
+/// waiting to be concatenated ([`DynamicGraph::to_indexed`]). Deleted edge
+/// ids go to a free list and may be reused by later insertions; id slots of
+/// deleted edges report no endpoints.
 #[derive(Clone, Debug)]
 pub struct DynamicGraph {
     adj: Vec<Vec<(VertexId, EdgeId)>>,
@@ -252,42 +251,6 @@ impl DynamicGraph {
         Some(e)
     }
 
-    /// Invokes `f(w, e1, e2)` for the triangles through live edge `e`, in
-    /// ascending `w` order until `f` breaks (lockstep merge of the two sorted
-    /// neighbor rows, like the static kernel).
-    pub fn try_for_each_triangle_of_edge<F>(&self, e: EdgeId, mut f: F) -> ControlFlow<()>
-    where
-        F: FnMut(VertexId, EdgeId, EdgeId) -> ControlFlow<()>,
-    {
-        let (u, v) = self.endpoints(e);
-        let nu = &self.adj[u as usize];
-        let nv = &self.adj[v as usize];
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < nu.len() && j < nv.len() {
-            match nu[i].0.cmp(&nv[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    f(nu[i].0, nu[i].1, nv[j].1)?;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        ControlFlow::Continue(())
-    }
-
-    /// [`DynamicGraph::try_for_each_triangle_of_edge`] to exhaustion.
-    pub fn for_each_triangle_of_edge<F>(&self, e: EdgeId, mut f: F)
-    where
-        F: FnMut(VertexId, EdgeId, EdgeId),
-    {
-        let _ = self.try_for_each_triangle_of_edge(e, |w, e1, e2| {
-            f(w, e1, e2);
-            ControlFlow::Continue(())
-        });
-    }
-
     /// Iterates live `(eid, u, v)` triples.
     pub fn edges(&self) -> impl Iterator<Item = (EdgeId, VertexId, VertexId)> + '_ {
         self.endpoints
@@ -299,19 +262,27 @@ impl DynamicGraph {
 
     /// Materializes the current graph as a static CSR plus the mapping from
     /// CSR edge ids to this graph's stable ids.
+    ///
+    /// One sweep over the rows: they are sorted, so concatenating them is the
+    /// CSR, and the forward arcs (`u < v`) in row order are the lexicographic
+    /// order [`EdgeIndexedGraph`] numbers edges in.
     pub fn to_indexed(&self) -> (EdgeIndexedGraph, Vec<EdgeId>) {
-        let mut b = GraphBuilder::new(self.num_vertices());
-        for (_, u, v) in self.edges() {
-            b.add_edge(u, v);
+        let mut offsets = Vec::with_capacity(self.adj.len() + 1);
+        let mut neighbors = Vec::with_capacity(2 * self.num_edges);
+        let mut map = Vec::with_capacity(self.num_edges);
+        offsets.push(0);
+        for (u, row) in self.adj.iter().enumerate() {
+            for &(v, e) in row {
+                neighbors.push(v);
+                if (u as VertexId) < v {
+                    map.push(e);
+                }
+            }
+            offsets.push(neighbors.len());
         }
-        let csr: CsrGraph = b.build();
-        let indexed = EdgeIndexedGraph::new(csr);
-        let map: Vec<EdgeId> = indexed
-            .endpoint_table()
-            .iter()
-            .map(|&(u, v)| self.edge_id(u, v).expect("edge exists in both views"))
-            .collect();
-        (indexed, map)
+        let csr = CsrGraph::try_from_raw(offsets, neighbors)
+            .expect("rows are sorted, loop-free and symmetric");
+        (EdgeIndexedGraph::new(csr), map)
     }
 }
 
@@ -356,19 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn triangle_enumeration_matches_static() {
-        let base = EdgeIndexedGraph::new(et_gen::gnm(40, 200, 7));
-        let g = DynamicGraph::from_indexed(&base);
-        for (e, _, _) in base.edges() {
-            let mut stat = Vec::new();
-            et_triangle::for_each_triangle_of_edge(&base, e, |w, e1, e2| stat.push((w, e1, e2)));
-            let mut dynv = Vec::new();
-            g.for_each_triangle_of_edge(e, |w, e1, e2| dynv.push((w, e1, e2)));
-            assert_eq!(stat, dynv, "edge {e}");
-        }
-    }
-
-    #[test]
     fn to_indexed_roundtrip() {
         let mut g = DynamicGraph::new(5);
         g.insert_edge(0, 1);
@@ -381,6 +339,57 @@ mod tests {
         for (csr_eid, u, v) in csr.edges() {
             assert_eq!(g.endpoints(map[csr_eid as usize]), (u, v));
         }
+    }
+
+    /// The construction `to_indexed` replaced: re-sort the live edges in a
+    /// `GraphBuilder`, then look every CSR edge's stable id up by endpoints.
+    fn to_indexed_by_builder(g: &DynamicGraph) -> (EdgeIndexedGraph, Vec<EdgeId>) {
+        let mut b = et_graph::GraphBuilder::new(g.num_vertices());
+        for (_, u, v) in g.edges() {
+            b.add_edge(u, v);
+        }
+        let indexed = EdgeIndexedGraph::new(b.build());
+        let map = indexed
+            .endpoint_table()
+            .iter()
+            .map(|&(u, v)| g.edge_id(u, v).expect("edge exists in both views"))
+            .collect();
+        (indexed, map)
+    }
+
+    #[test]
+    fn to_indexed_matches_the_builder_construction_under_churn() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(23);
+        // Vertices 40..48 never get an edge: trailing and interior empty rows.
+        let mut g = DynamicGraph::from_indexed(&EdgeIndexedGraph::new(et_gen::gnm(40, 160, 9)));
+        g.ensure_vertices(48);
+        let (mut recycled, mut dead_slots) = (false, false);
+        for step in 0..400 {
+            let u = rng.gen_range(0..40u32);
+            let v = rng.gen_range(0..40u32);
+            if g.remove_edge(u, v).is_none() {
+                let capacity = g.edge_capacity();
+                if let Some(e) = g.insert_edge(u, v) {
+                    recycled |= (e as usize) < capacity;
+                }
+            }
+            let (sweep, sweep_map) = g.to_indexed();
+            let (built, built_map) = to_indexed_by_builder(&g);
+            assert_eq!(sweep.graph(), built.graph(), "step {step}: CSR");
+            assert_eq!(sweep.raw_arc_eids(), built.raw_arc_eids(), "step {step}");
+            assert_eq!(
+                sweep.endpoint_table(),
+                built.endpoint_table(),
+                "step {step}"
+            );
+            assert_eq!(sweep_map, built_map, "step {step}: csr -> stable map");
+            assert_eq!(sweep.num_edges(), g.num_edges());
+            dead_slots |= g.edge_capacity() > g.num_edges();
+        }
+        assert!(recycled, "the script never reused a freed id");
+        assert!(dead_slots, "the script never compared with a dead slot");
     }
 
     #[test]

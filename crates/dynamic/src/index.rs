@@ -1,25 +1,17 @@
-//! Incrementally-maintained EquiTruss index over a [`DynamicGraph`].
+//! EquiTruss index over a [`DynamicGraph`], rebuilt per update.
 
 use crate::DynamicGraph;
-use et_cc::engine::{sv_edge_components, SvPolicy, TriangleAdjacency};
-use et_core::engine::same_k_partners;
-use et_core::phi::PhiGroups;
-use et_core::remap::remap_and_assemble;
-use et_core::smgraph::merge_supergraph;
-use et_core::spedge::{spedge_group_with, RootPair};
-use et_core::SuperGraph;
-use et_graph::EdgeId;
-use rayon::prelude::*;
-use std::collections::BTreeSet;
-use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU32, Ordering};
+use et_core::{build_index_with_decomposition, KernelTimings, SuperGraph, Variant};
 
-/// What one update did — lets callers (and tests) observe the reuse.
+/// What one update did.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UpdateStats {
-    /// Trussness levels whose SpNode groups were rebuilt.
+    /// Trussness levels whose SpNode groups were rebuilt: every level ≥ 3
+    /// present after the update, ascending.
     pub rebuilt_levels: Vec<u32>,
-    /// Trussness levels whose parent forests were reused verbatim.
+    /// Trussness levels reused from before the update. Always empty: every
+    /// update runs the whole static pipeline. The field stays for the day a
+    /// repair design beats that baseline.
     pub reused_levels: Vec<u32>,
     /// Number of edges whose trussness changed (including the updated edge).
     pub tau_changes: usize,
@@ -32,24 +24,18 @@ pub struct UpdateStats {
 pub struct DynamicIndex {
     graph: DynamicGraph,
     trussness: Vec<u32>,
-    parent: Vec<AtomicU32>,
     index: SuperGraph,
 }
 
 impl DynamicIndex {
     /// Builds the index for the current state of `graph`.
     pub fn build(graph: DynamicGraph) -> Self {
-        let mut idx = DynamicIndex {
+        let (trussness, index) = build_stable(&graph);
+        DynamicIndex {
             graph,
-            trussness: Vec::new(),
-            parent: Vec::new(),
-            index: SuperGraph::assemble(0, Vec::new(), Vec::new(), Vec::new()),
-        };
-        idx.trussness = idx.recompute_trussness();
-        idx.grow_parent();
-        let levels: BTreeSet<u32> = idx.trussness.iter().copied().filter(|&t| t >= 3).collect();
-        idx.rebuild(&levels);
-        idx
+            trussness,
+            index,
+        }
     }
 
     /// The underlying graph (read-only; mutate through
@@ -68,176 +54,64 @@ impl DynamicIndex {
         &self.index
     }
 
-    /// Inserts `{u, v}` and maintains the index. Returns `None` if the edge
+    /// Inserts `{u, v}` and rebuilds the index. Returns `None` if the edge
     /// already exists (no change).
     pub fn insert_edge(&mut self, u: u32, v: u32) -> Option<UpdateStats> {
-        let e = self.graph.insert_edge(u, v)?;
-        self.grow_parent();
-        let old_tau = std::mem::take(&mut self.trussness);
-        self.trussness = self.recompute_trussness();
-        // New triangles all contain e: connectivity changes only at levels
-        // ≤ τ_new(e), plus membership/filter crossings of changed edges.
-        let mut affected = self.crossed_levels(&old_tau);
-        for k in 3..=self.trussness[e as usize] {
-            affected.insert(k);
-        }
-        Some(self.apply(affected, &old_tau))
+        self.graph.insert_edge(u, v)?;
+        Some(self.refresh())
     }
 
-    /// Removes `{u, v}` and maintains the index. Returns `None` if the edge
+    /// Removes `{u, v}` and rebuilds the index. Returns `None` if the edge
     /// was absent.
     pub fn remove_edge(&mut self, u: u32, v: u32) -> Option<UpdateStats> {
-        let e = self.graph.edge_id(u, v)?;
-        let tau_e_old = self.trussness[e as usize];
-        self.graph.remove_edge(u, v);
-        let old_tau = std::mem::take(&mut self.trussness);
-        self.trussness = self.recompute_trussness();
-        // Destroyed triangles all contained e: levels ≤ τ_old(e).
-        let mut affected = self.crossed_levels(&old_tau);
-        for k in 3..=tau_e_old {
-            affected.insert(k);
-        }
-        Some(self.apply(affected, &old_tau))
+        self.graph.remove_edge(u, v)?;
+        Some(self.refresh())
     }
 
-    // ---- internals ---------------------------------------------------------
-
-    /// Full trussness recomputation mapped back onto stable ids. (τ is the
-    /// *input* dictionary of index construction; see crate docs.)
-    fn recompute_trussness(&self) -> Vec<u32> {
-        let (indexed, map) = self.graph.to_indexed();
-        let d = et_truss::decompose_parallel(&indexed);
-        let mut tau = vec![0u32; self.graph.edge_capacity()];
-        for (csr_eid, &stable) in map.iter().enumerate() {
-            tau[stable as usize] = d.trussness[csr_eid];
-        }
-        tau
-    }
-
-    fn grow_parent(&mut self) {
-        while self.parent.len() < self.graph.edge_capacity() {
-            // The id space is guarded at insertion (`DynamicGraph` refuses
-            // ids reaching u32::MAX), so this conversion cannot truncate —
-            // keep it checked so a future capacity change fails loudly.
-            let id = u32::try_from(self.parent.len())
-                .expect("edge id space exceeds u32 (guarded by DynamicGraph)");
-            self.parent.push(AtomicU32::new(id));
-        }
-    }
-
-    /// Levels at which some edge's membership or ≥-filter eligibility
-    /// changed between `old` and the current trussness.
-    fn crossed_levels(&self, old: &[u32]) -> BTreeSet<u32> {
-        let mut levels = BTreeSet::new();
-        for e in 0..self.trussness.len() {
-            let a = old.get(e).copied().unwrap_or(0);
-            let b = self.trussness[e];
-            if a == b {
-                continue;
-            }
-            for k in [a, b] {
-                if k >= 3 {
-                    levels.insert(k);
-                }
-            }
-            let (lo, hi) = (a.min(b), a.max(b));
-            for k in (lo + 1).max(3)..=hi {
-                levels.insert(k);
-            }
-        }
-        levels
-    }
-
-    fn apply(&mut self, affected: BTreeSet<u32>, old_tau: &[u32]) -> UpdateStats {
+    /// Rebuilds trussness and index for the graph as it now stands and
+    /// reports the difference to what they replace.
+    fn refresh(&mut self) -> UpdateStats {
+        let (trussness, index) = build_stable(&self.graph);
+        let old = std::mem::replace(&mut self.trussness, trussness);
+        self.index = index;
         let tau_changes = (0..self.trussness.len())
-            .filter(|&e| old_tau.get(e).copied().unwrap_or(0) != self.trussness[e])
+            .filter(|&e| old.get(e).copied().unwrap_or(0) != self.trussness[e])
             .count();
-        self.rebuild(&affected);
-        let all_levels: BTreeSet<u32> =
-            self.trussness.iter().copied().filter(|&t| t >= 3).collect();
+        // SpNodeRemap numbers supernodes in ascending k, so this is sorted.
+        let mut rebuilt_levels: Vec<u32> = self.index.sn_trussness.to_vec();
+        rebuilt_levels.dedup();
         UpdateStats {
-            rebuilt_levels: affected.iter().copied().filter(|k| *k >= 3).collect(),
-            reused_levels: all_levels.difference(&affected).copied().collect(),
+            rebuilt_levels,
+            reused_levels: Vec::new(),
             tau_changes,
         }
     }
-
-    /// Re-runs SpNode for the affected levels only — dispatched as one
-    /// parallel wave, like the static pipeline's wave schedule — then
-    /// SpEdge / SmGraph / SpNodeRemap over everything (cheap relative to
-    /// SpNode, Fig. 4).
-    fn rebuild(&mut self, affected: &BTreeSet<u32>) {
-        let phi = PhiGroups::build(&self.trussness);
-
-        // Reset Π for every affected group, then run their SpNode kernels
-        // concurrently: Φ_k groups are mutually independent (hooking only
-        // links same-k edges), so one wave suffices.
-        let groups: Vec<(u32, &[EdgeId])> =
-            phi.iter().filter(|(k, _)| affected.contains(k)).collect();
-        for &(_, group) in &groups {
-            for &e in group {
-                self.parent[e as usize].store(e, Ordering::Relaxed);
-            }
-        }
-        let parent = &self.parent;
-        let tau = &self.trussness;
-        let graph = &self.graph;
-        groups.par_iter().for_each(|&(k, group)| {
-            let view = DynTriangleView {
-                graph,
-                trussness: tau,
-                k,
-            };
-            // C-Optimal policies: Π-equality skip, SV hooking/shortcut.
-            sv_edge_components(&view, group, parent, SvPolicy { skip_equal: true });
-        });
-
-        // Superedges from scratch (they reference Π roots of many levels),
-        // through the shared Algorithm 3 kernel over dynamic adjacency.
-        let mut subsets: Vec<Vec<RootPair>> = Vec::new();
-        for (k, group) in phi.iter() {
-            spedge_group_with(
-                &|e, f: &mut dyn FnMut(EdgeId, EdgeId)| {
-                    graph.for_each_triangle_of_edge(e, |_, e1, e2| f(e1, e2));
-                },
-                tau,
-                k,
-                group,
-                parent,
-                &mut subsets,
-            );
-        }
-        let partitions = rayon::current_num_threads().min(subsets.len()).max(1);
-        let merged = merge_supergraph(&subsets, partitions);
-        self.index = remap_and_assemble(self.graph.edge_capacity(), &self.parent, &merged, &phi);
-    }
 }
 
-/// [`TriangleAdjacency`] over the dynamic hash-set adjacency: yields the
-/// same-trussness triangle partners of an edge, restricted to triangles
-/// inside the maximal k-truss — the dynamic analog of
-/// `et_core::engine::CsrTriangleView`.
-struct DynTriangleView<'a> {
-    graph: &'a DynamicGraph,
-    trussness: &'a [u32],
-    k: u32,
-}
-
-impl TriangleAdjacency for DynTriangleView<'_> {
-    fn try_for_each_partner<F>(&self, e: u32, mut f: F) -> ControlFlow<()>
-    where
-        F: FnMut(u32) -> ControlFlow<()>,
-    {
-        self.graph.try_for_each_triangle_of_edge(e, |_, e1, e2| {
-            same_k_partners(self.trussness, self.k, e1, e2, &mut f)
-        })
+/// The static pipeline on `graph`'s CSR — the peel, then the construction
+/// `equitruss build` runs by default — carried back to stable edge ids.
+fn build_stable(graph: &DynamicGraph) -> (Vec<u32>, SuperGraph) {
+    let (indexed, stable) = graph.to_indexed();
+    let decomposition = et_truss::decompose_parallel(&indexed);
+    let index = build_index_with_decomposition(
+        &indexed,
+        &decomposition,
+        Variant::Afforest,
+        &mut KernelTimings::default(),
+    );
+    let capacity = graph.edge_capacity();
+    let mut trussness = vec![0u32; capacity];
+    for (&tau, &e) in decomposition.trussness.iter().zip(&stable) {
+        trussness[e as usize] = tau;
     }
+    (trussness, index.relabel_edges(&stable, capacity))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use et_graph::EdgeIndexedGraph;
+    use et_core::NO_SUPERNODE;
+    use et_graph::{EdgeId, EdgeIndexedGraph};
 
     /// Supernodes as (trussness, sorted member endpoint pairs).
     type CanonicalSupernodes = Vec<(u32, Vec<(u32, u32)>)>;
@@ -290,58 +164,39 @@ mod tests {
         (sns, ses)
     }
 
-    fn assert_matches_static(di: &DynamicIndex, label: &str) {
-        let (indexed, _map) = di.graph().to_indexed();
-        let d = et_truss::decompose_parallel(&indexed);
+    /// The maintained index equals serial Algorithm 1 on a fresh CSR of the
+    /// same graph, and its arrays span the stable id space with nothing in
+    /// the dead slots.
+    pub(crate) fn assert_matches_static(di: &DynamicIndex, label: &str) {
+        let (indexed, map) = di.graph().to_indexed();
+        let d = et_truss::decompose_serial(&indexed);
         let fresh = et_core::build_original(&indexed, &d.trussness);
         let a = canonical_by_endpoints(di.index(), |e| di.graph().endpoints(e));
         let b = canonical_by_endpoints(&fresh, |e| indexed.endpoints(e));
         assert_eq!(a, b, "{label}");
+
+        let capacity = di.graph().edge_capacity();
+        assert_eq!(di.trussness().len(), capacity, "{label}");
+        assert_eq!(di.index().edge_supernode.len(), capacity, "{label}");
+        for (csr_eid, &stable) in map.iter().enumerate() {
+            assert_eq!(
+                di.trussness()[stable as usize],
+                d.trussness[csr_eid],
+                "{label}: τ of stable edge {stable}"
+            );
+        }
+        for e in (0..capacity as EdgeId).filter(|&e| !di.graph().is_live(e)) {
+            assert_eq!(di.trussness()[e as usize], 0, "{label}: dead slot {e}");
+            assert_eq!(
+                di.index().edge_supernode[e as usize],
+                NO_SUPERNODE,
+                "{label}: dead slot {e}"
+            );
+        }
     }
 
     fn dyn_from_static(g: et_graph::CsrGraph) -> DynamicIndex {
         DynamicIndex::build(DynamicGraph::from_indexed(&EdgeIndexedGraph::new(g)))
-    }
-
-    /// Breaking the dynamic view's enumeration visits exactly a prefix of
-    /// what `for_each_partner` yields, and the view agrees with the static
-    /// `CsrTriangleView` partner for partner.
-    #[test]
-    fn dyn_view_breaks_on_a_prefix_of_the_static_sequence() {
-        let base = EdgeIndexedGraph::new(et_gen::overlapping_cliques(120, 25, (3, 7), 40, 3));
-        let tau = et_truss::decompose_parallel(&base).trussness;
-        let graph = DynamicGraph::from_indexed(&base);
-        let rows = et_graph::RowView::of(&base);
-        for e in 0..base.num_edges() as u32 {
-            let k = tau[e as usize];
-            if k < 3 {
-                continue;
-            }
-            let view = DynTriangleView {
-                graph: &graph,
-                trussness: &tau,
-                k,
-            };
-            let mut all = Vec::new();
-            view.for_each_partner(e, |p| all.push(p));
-            let mut stat = Vec::new();
-            et_core::engine::CsrTriangleView::new(&rows, &tau, k)
-                .for_each_partner(e, |p| stat.push(p));
-            assert_eq!(all, stat, "edge {e}");
-            for stop in 1..=all.len() {
-                let mut seen = Vec::new();
-                let flow = view.try_for_each_partner(e, |p| {
-                    seen.push(p);
-                    if seen.len() == stop {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                });
-                assert!(flow.is_break(), "edge {e} stop {stop}");
-                assert_eq!(seen, all[..stop], "edge {e} stop {stop}");
-            }
-        }
     }
 
     #[test]
@@ -391,59 +246,35 @@ mod tests {
             } else {
                 di.insert_edge(u, v);
             }
-            if step % 5 == 0 {
-                assert_matches_static(&di, &format!("churn step {step}"));
-            }
+            assert_matches_static(&di, &format!("churn step {step}"));
         }
-        assert_matches_static(&di, "final churn state");
     }
 
     #[test]
-    fn untouched_levels_are_reused() {
-        // Two far-apart structures: a K6 (levels up to 6) and a separate
-        // triangle. Adding an edge to the triangle must not rebuild the K6's
-        // levels 5..6 groups.
-        let mut b = et_graph::GraphBuilder::new(12);
-        for u in 0..6u32 {
-            for v in (u + 1)..6 {
-                b.add_edge(u, v);
-            }
-        }
-        b.add_edge(6, 7);
-        b.add_edge(7, 8);
-        b.add_edge(6, 8);
-        let mut di = dyn_from_static(b.build());
-        // New pendant triangle vertex: creates trussness-3 structure only.
-        let s1 = di.insert_edge(6, 9).unwrap();
-        assert!(s1.rebuilt_levels.iter().all(|&k| k <= 3));
-        let s2 = di.insert_edge(9, 7).unwrap(); // closes triangle (6,7,9)
-        assert!(
-            s2.rebuilt_levels.iter().all(|&k| k <= 3),
-            "rebuilt {:?}",
-            s2.rebuilt_levels
-        );
-        assert!(s2.reused_levels.contains(&6), "K6 level must be reused");
-        assert_matches_static(&di, "after pendant triangle");
-    }
-
-    #[test]
-    fn queries_work_on_dynamic_index() {
+    fn update_stats_report_a_full_rebuild() {
         let mut g = DynamicGraph::from_indexed(&EdgeIndexedGraph::new(
             et_gen::fixtures::clique(4).graph.clone(),
         ));
         g.ensure_vertices(5);
         let mut di = DynamicIndex::build(g);
-        // Grow the K4 to K5 one edge at a time; community should follow.
-        for v in 0..4u32 {
-            di.insert_edge(v, 4);
+        // K4 → K5 one spoke at a time: a pendant edge (τ 2), a triangle on
+        // the K4 (two edges reach 3), a second K4 (three reach 4), the K5
+        // (all ten reach 5).
+        let expected: [(usize, &[u32]); 4] = [(1, &[4]), (2, &[3, 4]), (3, &[4]), (10, &[5])];
+        for (v, (tau_changes, levels)) in expected.into_iter().enumerate() {
+            let stats = di.insert_edge(v as u32, 4).expect("insert applies");
+            assert_eq!(stats.tau_changes, tau_changes, "spoke {v}");
+            assert_eq!(stats.rebuilt_levels, levels, "spoke {v}");
+            assert!(stats.reused_levels.is_empty(), "spoke {v}");
+            assert_matches_static(&di, &format!("after spoke {v}"));
         }
-        let (indexed, map) = di.graph().to_indexed();
-        // Map the dynamic index members onto the static view for querying:
-        // simpler — rebuild supernode lookup through endpoints.
-        let d = et_truss::decompose_parallel(&indexed);
-        assert_eq!(d.max_trussness, 5);
         assert_eq!(di.index().num_supernodes(), 1);
         assert_eq!(di.index().members(0).len(), 10);
-        let _ = map;
+        // Dropping a K5 edge leaves two K4s sharing a triangle: 9 edges 5 → 4
+        // and the removed slot 5 → 0.
+        let stats = di.remove_edge(0, 1).expect("edge exists");
+        assert_eq!(stats.tau_changes, 10);
+        assert_eq!(stats.rebuilt_levels, [4]);
+        assert!(stats.reused_levels.is_empty());
     }
 }

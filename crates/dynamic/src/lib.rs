@@ -1,4 +1,4 @@
-//! # et-dynamic — dynamic graphs and incremental index maintenance
+//! # et-dynamic — dynamic graphs, and an index that follows them
 //!
 //! The static pipeline assigns edge ids lexicographically, so a single edge
 //! insertion renumbers everything — useless for evolving graphs. This crate
@@ -6,22 +6,23 @@
 //!
 //! * [`DynamicGraph`] — an adjacency-list graph with **stable edge ids**
 //!   (freed ids are recycled; existing ids never move), convertible to/from
-//!   the CSR substrate;
-//! * [`DynamicIndex`] — an EquiTruss index maintained under edge insertions
-//!   and deletions. Trussness is recomputed per update (the τ dictionary is
-//!   the *input* of index construction in the paper; fully incremental truss
-//!   maintenance à la Huang et al. is future work), but the dominant SpNode
-//!   kernel — 70–90% of construction time per Fig. 4 — is rebuilt **only for
-//!   the affected trussness levels**, reusing the parent forest of untouched
-//!   Φ_k groups.
+//!   the CSR substrate in one sweep over its sorted rows;
+//! * [`DynamicIndex`] — trussness and the EquiTruss index of a
+//!   [`DynamicGraph`], in stable ids, **rebuilt on every update** by the
+//!   static pipeline: [`DynamicGraph::to_indexed`] → the parallel peel
+//!   ([`et_truss::decompose_parallel`]) →
+//!   [`et_core::build_index_with_decomposition`] under the Afforest variant →
+//!   ids carried back through `to_indexed`'s `csr → stable` table
+//!   ([`et_core::SuperGraph::relabel_edges`]).
 //!
-//! Which levels can an update touch? Every triangle created or destroyed
-//! contains the updated edge e, so connectivity can only change at levels
-//! k ≤ τ(e) (taking τ(e) = max(old, new)). Additionally, any edge f whose
-//! trussness moved from a to b changes its group membership at levels a and
-//! b and its "≥ k" filter eligibility for k in (min(a,b), max(a,b)]. The
-//! union of those ranges is the affected set; everything above it is reused
-//! verbatim (stable ids make the reuse sound).
+//! There is no incremental path. The one this crate used to carry — its own Π
+//! forest kept across updates, SpNode re-run for the affected levels only —
+//! cost more per update than the whole static build of the same graph on
+//! every measured workload (EXPERIMENTS.md "PR 16"), because each update
+//! already paid a fresh CSR and a full peel. Bounded τ repair and local
+//! superedge repair (ROADMAP, first open item) are future work, and this
+//! rebuild is both the baseline they must beat and the oracle they will be
+//! tested against.
 
 #![warn(missing_docs)]
 

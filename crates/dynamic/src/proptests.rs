@@ -3,6 +3,7 @@
 
 #![cfg(test)]
 
+use crate::index::tests::assert_matches_static;
 use crate::{DynamicGraph, DynamicIndex};
 use proptest::prelude::*;
 
@@ -45,18 +46,9 @@ proptest! {
             } else {
                 di.insert_edge(u, v);
             }
-        }
-        let (indexed, _) = di.graph().to_indexed();
-        let d = et_truss::decompose_parallel(&indexed);
-        let fresh = et_core::build_original(&indexed, &d.trussness);
-        let a = canonical(di.index(), |e| di.graph().endpoints(e));
-        let b = canonical(&fresh, |e| indexed.endpoints(e));
-        prop_assert_eq!(a, b);
-
-        // Trussness arrays agree through endpoints too.
-        for (e, u, v) in indexed.edges() {
-            let stable = di.graph().edge_id(u, v).unwrap();
-            prop_assert_eq!(di.trussness()[stable as usize], d.trussness[e as usize]);
+            // Serial Algorithm 1 on a fresh CSR, τ through the id map, and
+            // nothing in the dead slots of either stable-id array.
+            assert_matches_static(&di, "after a scripted update");
         }
     }
 

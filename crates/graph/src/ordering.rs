@@ -1,34 +1,10 @@
-//! Vertex orderings and relabelings.
+//! Vertex orderings.
 //!
 //! Triangle kernels are sensitive to vertex order: orienting arcs from
 //! low-degree to high-degree endpoints bounds the work of the intersection
 //! phase (Schank & Wagner; cited as the O(|E|^1.5) bound in paper §3.2).
-//! Degeneracy (k-core) ordering gives the theoretically tight orientation.
 
-use crate::{CsrGraph, GraphBuilder, VertexId};
-
-/// Relabels the graph so vertices are numbered by the given permutation:
-/// `perm[old] = new`. Returns the relabeled graph.
-///
-/// # Panics
-/// Panics if `perm` is not a permutation of `0..n`.
-pub fn relabel(graph: &CsrGraph, perm: &[VertexId]) -> CsrGraph {
-    let n = graph.num_vertices();
-    assert_eq!(perm.len(), n, "permutation length mismatch");
-    let mut seen = vec![false; n];
-    for &p in perm {
-        assert!(
-            (p as usize) < n && !seen[p as usize],
-            "perm is not a permutation"
-        );
-        seen[p as usize] = true;
-    }
-    let mut b = GraphBuilder::new(n);
-    for (u, v) in graph.edges() {
-        b.add_edge(perm[u as usize], perm[v as usize]);
-    }
-    b.build()
-}
+use crate::{CsrGraph, VertexId};
 
 /// Permutation sorting vertices by non-decreasing degree (ties by id).
 /// `perm[old] = new`.
@@ -43,78 +19,11 @@ pub fn degree_order(graph: &CsrGraph) -> Vec<VertexId> {
     perm
 }
 
-/// Degeneracy ordering via k-core peeling (Matula–Beck bucket algorithm).
-///
-/// Returns `(order, degeneracy)` where `order[i]` is the i-th vertex peeled
-/// and `degeneracy` is the maximum core number encountered.
-pub fn degeneracy_order(graph: &CsrGraph) -> (Vec<VertexId>, usize) {
-    let n = graph.num_vertices();
-    if n == 0 {
-        return (Vec::new(), 0);
-    }
-    let mut deg: Vec<usize> = (0..n).map(|u| graph.degree(u as VertexId)).collect();
-    let max_deg = deg.iter().copied().max().unwrap_or(0);
-
-    // Bucket sort vertices by degree.
-    let mut bucket_start = vec![0usize; max_deg + 2];
-    for &d in &deg {
-        bucket_start[d + 1] += 1;
-    }
-    for i in 0..=max_deg {
-        bucket_start[i + 1] += bucket_start[i];
-    }
-    let mut pos = vec![0usize; n];
-    let mut vert = vec![0 as VertexId; n];
-    {
-        let mut cursor = bucket_start.clone();
-        for u in 0..n {
-            let d = deg[u];
-            pos[u] = cursor[d];
-            vert[cursor[d]] = u as VertexId;
-            cursor[d] += 1;
-        }
-    }
-
-    let mut bin = bucket_start;
-    let mut order = Vec::with_capacity(n);
-    let mut degeneracy = 0usize;
-
-    for i in 0..n {
-        let u = vert[i];
-        let du = deg[u as usize];
-        degeneracy = degeneracy.max(du);
-        order.push(u);
-        for &v in graph.neighbors(u) {
-            let v = v as usize;
-            // Only vertices still strictly above u's (clamped) degree move;
-            // this clamps deg[] at the core number and keeps bucket starts
-            // ahead of the peel cursor (Batagelj–Zaversnik invariant).
-            if deg[v] <= du {
-                continue;
-            }
-            let dv = deg[v];
-            // Swap v with the first vertex of its bucket, then shrink the
-            // bucket boundary — the classic O(1) decrement.
-            let pv = pos[v];
-            let pw = bin[dv];
-            let w = vert[pw];
-            if v as VertexId != w {
-                vert.swap(pv, pw);
-                pos[v] = pw;
-                pos[w as usize] = pv;
-            }
-            bin[dv] += 1;
-            deg[v] -= 1;
-        }
-    }
-    (order, degeneracy)
-}
-
 /// K-core decomposition: `core[v]` is the largest k such that v belongs to
 /// a subgraph in which every vertex has degree ≥ k.
 ///
-/// Derived from the same peeling as [`degeneracy_order`]: the clamped degree
-/// at peel time *is* the core number (Batagelj–Zaversnik).
+/// Matula–Beck bucket peeling: the clamped degree at peel time *is* the core
+/// number (Batagelj–Zaversnik).
 pub fn core_numbers(graph: &CsrGraph) -> Vec<u32> {
     let n = graph.num_vertices();
     if n == 0 {
@@ -150,10 +59,15 @@ pub fn core_numbers(graph: &CsrGraph) -> Vec<u32> {
         core[u as usize] = running_max as u32;
         for &v in graph.neighbors(u) {
             let v = v as usize;
+            // Only vertices still strictly above u's (clamped) degree move;
+            // this clamps deg[] at the core number and keeps bucket starts
+            // ahead of the peel cursor (Batagelj–Zaversnik invariant).
             if deg[v] <= du {
                 continue;
             }
             let dv = deg[v];
+            // Swap v with the first vertex of its bucket, then shrink the
+            // bucket boundary — the classic O(1) decrement.
             let pv = pos[v];
             let pw = bin[dv];
             let w = vert[pw];
@@ -172,34 +86,7 @@ pub fn core_numbers(graph: &CsrGraph) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn clique(k: usize) -> CsrGraph {
-        let mut b = GraphBuilder::new(k);
-        for u in 0..k as VertexId {
-            for v in (u + 1)..k as VertexId {
-                b.add_edge(u, v);
-            }
-        }
-        b.build()
-    }
-
-    #[test]
-    fn relabel_preserves_structure() {
-        let g = GraphBuilder::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).build();
-        let perm = vec![3, 2, 1, 0];
-        let r = relabel(&g, &perm);
-        assert_eq!(r.num_edges(), 3);
-        assert!(r.has_edge(3, 2));
-        assert!(r.has_edge(1, 0));
-        assert!(!r.has_edge(3, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "not a permutation")]
-    fn relabel_rejects_non_permutation() {
-        let g = CsrGraph::empty(3);
-        relabel(&g, &[0, 0, 1]);
-    }
+    use crate::GraphBuilder;
 
     #[test]
     fn degree_order_sorts() {
@@ -208,36 +95,6 @@ mod tests {
         let perm = degree_order(&g);
         // Center must be relabeled last.
         assert_eq!(perm[0], 4);
-    }
-
-    #[test]
-    fn degeneracy_of_clique() {
-        let (_, d) = degeneracy_order(&clique(6));
-        assert_eq!(d, 5);
-    }
-
-    #[test]
-    fn degeneracy_of_tree_is_one() {
-        let g = GraphBuilder::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]).build();
-        let (order, d) = degeneracy_order(&g);
-        assert_eq!(d, 1);
-        assert_eq!(order.len(), 5);
-    }
-
-    #[test]
-    fn degeneracy_order_is_permutation() {
-        let g = clique(4);
-        let (order, _) = degeneracy_order(&g);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn degeneracy_empty() {
-        let (order, d) = degeneracy_order(&CsrGraph::empty(0));
-        assert!(order.is_empty());
-        assert_eq!(d, 0);
     }
 
     #[test]

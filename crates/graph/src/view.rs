@@ -1,8 +1,8 @@
 //! Subgraph extraction.
 //!
 //! Community search ultimately returns *subgraphs* (the k-truss communities
-//! of a query vertex), so the workspace needs vertex- and edge-induced
-//! subgraph extraction with id mappings back to the parent graph.
+//! of a query vertex), so the workspace needs edge-induced subgraph
+//! extraction with the id mapping back to the parent graph.
 
 use crate::{CsrGraph, EdgeId, EdgeIndexedGraph, GraphBuilder, VertexId};
 
@@ -14,38 +14,6 @@ pub struct Subgraph {
     pub graph: CsrGraph,
     /// `local_to_global[local] = global` vertex id in the parent graph.
     pub local_to_global: Vec<VertexId>,
-}
-
-impl Subgraph {
-    /// Maps a parent-graph vertex to its compact id, if present.
-    pub fn global_to_local(&self, global: VertexId) -> Option<VertexId> {
-        self.local_to_global
-            .binary_search(&global)
-            .ok()
-            .map(|i| i as VertexId)
-    }
-}
-
-/// Extracts the subgraph induced by `vertices` (edges with both endpoints in
-/// the set). Vertex ids are compacted in sorted order.
-pub fn induced_subgraph(graph: &CsrGraph, vertices: &[VertexId]) -> Subgraph {
-    let mut verts: Vec<VertexId> = vertices.to_vec();
-    verts.sort_unstable();
-    verts.dedup();
-    let mut b = GraphBuilder::new(verts.len());
-    for (li, &u) in verts.iter().enumerate() {
-        for &v in graph.neighbors(u) {
-            if v > u {
-                if let Ok(lj) = verts.binary_search(&v) {
-                    b.add_edge(li as VertexId, lj as VertexId);
-                }
-            }
-        }
-    }
-    Subgraph {
-        graph: b.build(),
-        local_to_global: verts,
-    }
 }
 
 /// Extracts the subgraph spanned by a set of edge ids of an indexed graph.
@@ -79,32 +47,6 @@ mod tests {
 
     fn sample() -> CsrGraph {
         GraphBuilder::from_edges(6, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)]).build()
-    }
-
-    #[test]
-    fn induced_keeps_internal_edges_only() {
-        let g = sample();
-        let s = induced_subgraph(&g, &[0, 1, 2, 3]);
-        assert_eq!(s.graph.num_vertices(), 4);
-        assert_eq!(s.graph.num_edges(), 4); // triangle + (2,3)
-        assert_eq!(s.local_to_global, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn induced_handles_duplicates_in_input() {
-        let g = sample();
-        let s = induced_subgraph(&g, &[2, 0, 1, 0, 2]);
-        assert_eq!(s.graph.num_vertices(), 3);
-        assert_eq!(s.graph.num_edges(), 3);
-    }
-
-    #[test]
-    fn global_to_local_roundtrip() {
-        let g = sample();
-        let s = induced_subgraph(&g, &[1, 3, 5]);
-        assert_eq!(s.global_to_local(3), Some(1));
-        assert_eq!(s.global_to_local(0), None);
-        assert_eq!(s.local_to_global[s.global_to_local(5).unwrap() as usize], 5);
     }
 
     #[test]

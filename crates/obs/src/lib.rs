@@ -48,10 +48,9 @@
 //! distribution handle out of the loop or accumulate locally and flush
 //! once per parallel job.
 //!
-//! The only required dependency is `rayon` (for worker-thread identity in
-//! the occupancy tracker); the optional `serde` feature derives
-//! `Serialize` for [`MetricsSnapshot`] so snapshots can be embedded in
-//! other JSON documents (the chrome-trace export has its own writer).
+//! The only dependency is `rayon` (for worker-thread identity in the
+//! occupancy tracker); [`MetricsSnapshot::to_json`] and the chrome-trace
+//! export write their JSON themselves.
 
 #![warn(missing_docs)]
 

@@ -106,7 +106,6 @@ pub fn record_value(name: &str, value: u64) {
 /// are exact; the percentiles are interpolated from log2 buckets (exact at
 /// the observed extremes).
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct DistributionSummary {
     /// Number of samples.
     pub count: u64,
@@ -150,7 +149,6 @@ impl DistributionSummary {
 
 /// A point-in-time copy of every registered counter and distribution.
 #[derive(Clone, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,

@@ -44,7 +44,7 @@ use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -161,7 +161,7 @@ impl SharedIndex {
         // A racing reader may still insert an old-epoch body after this
         // clear; the epoch stamp on every entry makes that harmless (it
         // reads as a miss and is overwritten).
-        self.cache.lock().unwrap().clear();
+        self.cache().clear();
         epoch
     }
 
@@ -175,11 +175,24 @@ impl SharedIndex {
         &self.metrics
     }
 
+    /// The LRU's lock, whether or not a holder panicked. A poisoned cache is
+    /// emptied rather than trusted — entries are epoch-stamped, so a cold
+    /// cache is always a correct one — and the poison flag is cleared, so one
+    /// panicking request costs the others a few misses, not the server.
+    fn cache(&self) -> MutexGuard<'_, Lru<CacheKey, CachedBody>> {
+        self.cache.lock().unwrap_or_else(|poisoned| {
+            let mut guard = poisoned.into_inner();
+            guard.clear();
+            self.cache.clear_poison();
+            guard
+        })
+    }
+
     fn cache_get(&self, key: &CacheKey, epoch: u64) -> Option<Arc<String>> {
         if self.cache_capacity == 0 {
             return None;
         }
-        match self.cache.lock().unwrap().get(key) {
+        match self.cache().get(key) {
             Some(entry) if entry.epoch == epoch => {
                 self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
                 if et_obs::enabled() {
@@ -198,10 +211,7 @@ impl SharedIndex {
         if self.cache_capacity == 0 {
             return;
         }
-        self.cache
-            .lock()
-            .unwrap()
-            .put(key, CachedBody { epoch, body });
+        self.cache().put(key, CachedBody { epoch, body });
     }
 }
 
@@ -358,7 +368,7 @@ fn handle_stats(shared: &SharedIndex, state: &ServeState) -> (u16, String) {
                 .end(),
         );
     }
-    let cache_entries = shared.cache.lock().unwrap().len();
+    let cache_entries = shared.cache().len();
     let body = Obj::new()
         .u64("epoch", state.epoch)
         .raw(
@@ -626,5 +636,75 @@ impl Server {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use et_graph::{EdgeIndexedGraph, GraphBuilder};
+
+    fn k4_state() -> ServeState {
+        let edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)];
+        let graph = EdgeIndexedGraph::new(GraphBuilder::from_edges(4, &edges).build());
+        let build = et_core::build_index(&graph, et_core::Variant::Afforest);
+        ServeState::new(graph, build.index, build.hierarchy)
+    }
+
+    fn get(path: &str, params: &[(&str, &str)]) -> Request {
+        Request {
+            method: "GET".to_string(),
+            path: path.to_string(),
+            params: params
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            body: Vec::new(),
+            keep_alive: true,
+        }
+    }
+
+    /// A thread dies holding the LRU's lock, as a panicking handler would.
+    fn poison_cache(shared: &Arc<SharedIndex>) {
+        let holder = Arc::clone(shared);
+        let died = std::thread::spawn(move || {
+            let _guard = holder.cache.lock().unwrap();
+            panic!("handler dies with the cache locked");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(shared.cache.is_poisoned());
+    }
+
+    #[test]
+    fn a_panic_under_the_cache_lock_poisons_no_later_request() {
+        let shared = Arc::new(SharedIndex::new(k4_state(), 8, None));
+        let (state, _) = shared.swap().load();
+        let query = get("/query", &[("v", "0"), ("k", "3")]);
+        let (status, warm) = handle(&shared, &state, &query);
+        assert_eq!(status, 200);
+        assert_eq!(shared.cache.lock().unwrap().len(), 1);
+
+        // /query next: the cache comes back empty and usable, the answer is
+        // recomputed, and the request after that hits.
+        poison_cache(&shared);
+        let (status, body) = handle(&shared, &state, &query);
+        assert_eq!((status, &body), (200, &warm));
+        assert!(!shared.cache.is_poisoned());
+        assert_eq!(shared.metrics().cache_hits.load(Ordering::Relaxed), 0);
+        assert_eq!(handle(&shared, &state, &query).1, warm);
+        assert_eq!(shared.metrics().cache_hits.load(Ordering::Relaxed), 1);
+
+        // /stats next.
+        poison_cache(&shared);
+        let (status, stats) = handle(&shared, &state, &get("/stats", &[]));
+        assert_eq!(status, 200);
+        assert!(stats.contains("\"cache\""), "{stats}");
+        assert!(!shared.cache.is_poisoned());
+
+        // publish next.
+        poison_cache(&shared);
+        assert_eq!(shared.publish(k4_state()), 2);
+        assert_eq!(shared.cache.lock().unwrap().len(), 0);
     }
 }

@@ -19,7 +19,7 @@
 //! the N+1 published states and nothing in between (no torn reads).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A hot-swappable shared value: rare locked writes, lock-free steady-state
 /// reads via [`Snapshot`].
@@ -43,9 +43,16 @@ impl<T> Swap<T> {
         self.epoch.load(Ordering::Acquire)
     }
 
+    /// The lock, whether or not a holder panicked: the `Arc` is only ever
+    /// replaced whole, so a poisoned mutex still guards the old value or the
+    /// new one, never a torn one, and later requests must keep being served.
+    fn current(&self) -> MutexGuard<'_, Arc<T>> {
+        self.current.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Clones the current value together with its epoch (consistent pair).
     pub fn load(&self) -> (Arc<T>, u64) {
-        let guard = self.current.lock().unwrap();
+        let guard = self.current();
         (Arc::clone(&guard), self.epoch.load(Ordering::Acquire))
     }
 
@@ -59,7 +66,7 @@ impl<T> Swap<T> {
     /// will be published under — used to stamp the epoch into the state
     /// itself so responses can carry it.
     pub fn publish_with(&self, make: impl FnOnce(u64) -> T) -> u64 {
-        let mut guard = self.current.lock().unwrap();
+        let mut guard = self.current();
         let next = self.epoch.load(Ordering::Relaxed) + 1;
         *guard = Arc::new(make(next));
         // Readers observe the epoch bump only after the new Arc is in place;
@@ -107,6 +114,7 @@ impl<T> Snapshot<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
     use std::thread;
 
     #[test]
@@ -137,6 +145,29 @@ mod tests {
         assert_eq!(snap.epoch(), 2);
     }
 
+    #[test]
+    fn a_panic_under_the_lock_does_not_stop_loads_or_publishes() {
+        let s = Arc::new(Swap::new(1u32));
+        let holder = Arc::clone(&s);
+        let panicked = thread::spawn(move || {
+            let _guard = holder.current.lock().unwrap();
+            panic!("holder dies with the lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(s.current.is_poisoned());
+        assert_eq!(s.load(), (Arc::new(1), 1));
+        assert_eq!(s.publish(2), 2);
+        let mut snap = Snapshot::new(&s);
+        assert_eq!((**snap.get(&s), snap.epoch()), (2, 2));
+        // A builder that panics inside `publish_with` publishes nothing.
+        let holder = Arc::clone(&s);
+        let panicked = thread::spawn(move || holder.publish_with(|_| panic!("bad build"))).join();
+        assert!(panicked.is_err());
+        assert_eq!(s.load(), (Arc::new(2), 2));
+        assert_eq!(s.publish(3), 3);
+    }
+
     /// Satellite 4 (handle level): readers hammer the swap while a writer
     /// publishes N states; every observed value must be internally
     /// consistent with exactly one published epoch — a vector whose
@@ -149,15 +180,22 @@ mod tests {
         for readers in [1usize, 4, 8] {
             let swap = Arc::new(Swap::new(vec![1u64; LEN]));
             let done = Arc::new(AtomicBool::new(false));
+            // The writer starts only once every reader runs, and a reader
+            // looks at least once however late it is scheduled: a busy host
+            // (the panicking threads of the test above, say) must not turn
+            // "no overlap this time" into a failure.
+            let start = Arc::new(Barrier::new(readers + 1));
             let mut handles = Vec::new();
             for _ in 0..readers {
                 let swap = Arc::clone(&swap);
                 let done = Arc::clone(&done);
+                let start = Arc::clone(&start);
                 handles.push(thread::spawn(move || {
                     let mut snap = Snapshot::new(&swap);
                     let mut last_epoch = 0;
                     let mut observed = 0u64;
-                    while !done.load(Ordering::Acquire) {
+                    start.wait();
+                    loop {
                         let v = Arc::clone(snap.get(&swap));
                         let epoch = snap.epoch();
                         let first = v[0];
@@ -169,10 +207,14 @@ mod tests {
                         assert!(epoch >= last_epoch, "epoch went backwards");
                         last_epoch = epoch;
                         observed += 1;
+                        if done.load(Ordering::Acquire) {
+                            break;
+                        }
                     }
                     observed
                 }));
             }
+            start.wait();
             for _ in 0..PUBLISHES {
                 swap.publish_with(|epoch| vec![epoch; LEN]);
                 thread::yield_now();

@@ -1,11 +1,10 @@
 //! Sorted-set intersection kernels.
 //!
 //! The Support kernel is dominated by adjacency-list intersections; the best
-//! strategy depends on the lengths of the two lists. Scalar merge,
-//! binary-probe, and galloping kernels are provided plus an adaptive
-//! dispatcher ([`intersect_into`] / [`intersect_count`] /
-//! [`intersect_matches`] and its breakable core [`try_intersect_matches`])
-//! that chooses from the two lengths alone: galloping when the lists are
+//! strategy depends on the lengths of the two lists. Scalar merge and
+//! galloping kernels are provided plus an adaptive dispatcher
+//! ([`intersect_into`] / [`intersect_count`] / [`intersect_matches`] and its
+//! breakable core [`try_intersect_matches`]) that chooses from the two lengths alone: galloping when the lists are
 //! very unbalanced ([`GALLOP_RATIO`]) — the regime of skewed social graphs —
 //! and, on x86_64, the block-compare merge and vectorized galloping probe of
 //! [`crate::simd`] once the shorter list reaches [`SIMD_MIN_LEN`]. Below
@@ -18,8 +17,8 @@ use std::ops::ControlFlow;
 
 /// Length-ratio threshold above which galloping beats merging.
 ///
-/// Set from the `support_kernels/gallop_ratio` criterion sweep (see
-/// `crates/bench/benches/support.rs`): on |small| = 256 random sets the
+/// Set from a ratio sweep (EXPERIMENTS.md "PR 16" keeps the numbers of the
+/// deleted criterion group): on |small| = 256 random sets the
 /// scalar merge wins through ratio ≈ 12 (gallop 1.08x slower), the two
 /// break even at ratio 16 (within 2%), and galloping wins from ratio 24 on
 /// (1.4x at 24, 4x at 128). The SIMD block merge shifts the crossover
@@ -122,16 +121,6 @@ pub(crate) fn unbroken(
     move |i, j| {
         f(i, j);
         ControlFlow::Continue(())
-    }
-}
-
-/// Binary-probe intersection: for each element of the smaller list `small`,
-/// binary-search the larger list. O(|small| · log |large|).
-pub fn binary_intersect_into(small: &[VertexId], large: &[VertexId], out: &mut Vec<VertexId>) {
-    for &x in small {
-        if large.binary_search(&x).is_ok() {
-            out.push(x);
-        }
     }
 }
 
@@ -313,10 +302,6 @@ mod tests {
         assert_eq!(pairs.len(), expected.len());
 
         let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        out.clear();
-        binary_intersect_into(small, large, &mut out);
-        assert_eq!(out, expected, "binary failed");
-
         out.clear();
         gallop_intersect_into(small, large, &mut out);
         assert_eq!(out, expected, "gallop failed");

@@ -5,8 +5,7 @@
 //! N(v)|` — the number of triangles containing `e` (Definition 2). This crate
 //! provides:
 //!
-//! * [`intersect`] — sorted-set intersection kernels (merge, binary-probe,
-//!   galloping) with an adaptive dispatcher that also picks, on x86_64 and
+//! * [`intersect`] — sorted-set intersection kernels (merge, galloping) with an adaptive dispatcher that also picks, on x86_64 and
 //!   from a length cutoff up, the SSE2 kernels of `simd`,
 //! * [`support`] — the merge-based Support kernel over an
 //!   [`et_graph::EdgeIndexedGraph`] (one intersection per edge, no auxiliary

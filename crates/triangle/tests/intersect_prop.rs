@@ -7,10 +7,9 @@
 //! around the dispatchers' vector cutoff, and on `u32::MAX` boundary values.
 
 use et_triangle::intersect::{
-    binary_intersect_into, gallop_intersect_count, gallop_intersect_into, gallop_matches,
-    intersect_count, intersect_into, intersect_matches, merge_intersect_count,
-    merge_intersect_into, merge_matches, try_gallop_matches, try_intersect_matches,
-    try_merge_matches, GALLOP_RATIO, SIMD_MIN_LEN,
+    gallop_intersect_count, gallop_intersect_into, gallop_matches, intersect_count, intersect_into,
+    intersect_matches, merge_intersect_count, merge_intersect_into, merge_matches,
+    try_gallop_matches, try_intersect_matches, try_merge_matches, GALLOP_RATIO, SIMD_MIN_LEN,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,9 +20,11 @@ type V = u32;
 /// The oracle: binary-probe every element of the smaller list.
 fn oracle(a: &[V], b: &[V]) -> Vec<V> {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut out = Vec::new();
-    binary_intersect_into(small, large, &mut out);
-    out
+    small
+        .iter()
+        .copied()
+        .filter(|x| large.binary_search(x).is_ok())
+        .collect()
 }
 
 /// Runs a breakable kernel with a callback that breaks at the 1st, 2nd,

@@ -10,7 +10,7 @@
 //! * [`serial::decompose_serial`] — classic bucket peeling, O(|E|^1.5);
 //!   the *TrussDecomp* kernel of the Fig. 2 breakdown.
 //! * [`parallel::decompose_parallel`] — level-synchronous peeling in the
-//!   style of PKT (Kabir & Madduri, HPEC 2017 — cited as [24] in the paper),
+//!   style of PKT (Kabir & Madduri, HPEC 2017 — cited as \[24\] in the paper),
 //!   using atomic support counters.
 //!
 //! Edges in no triangle have trussness 2 (every edge is trivially a
@@ -18,17 +18,15 @@
 
 #![warn(missing_docs)]
 
-pub mod hierarchy;
 pub mod parallel;
 pub mod serial;
 pub mod verify;
 
-pub use hierarchy::{TrussHierarchy, TrussLevel};
 pub use parallel::decompose_parallel;
 pub use serial::decompose_serial;
 pub use verify::{brute_force_trussness, verify_decomposition};
 
-use et_graph::{EdgeId, EdgeIndexedGraph};
+use et_graph::EdgeId;
 
 /// Result of a k-truss decomposition.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -75,10 +73,4 @@ impl TrussDecomposition {
         }
         h.into_iter().collect()
     }
-}
-
-/// Convenience: decompose with the parallel algorithm using the ambient
-/// rayon thread pool.
-pub fn decompose(graph: &EdgeIndexedGraph) -> TrussDecomposition {
-    decompose_parallel(graph)
 }

@@ -1,6 +1,6 @@
 //! Parallel k-truss decomposition (level-synchronous peeling).
 //!
-//! Follows the PKT scheme (Kabir & Madduri — reference [24] of the paper):
+//! Follows the PKT scheme (Kabir & Madduri — reference \[24\] of the paper):
 //! peel all edges whose remaining support equals the current level `l`
 //! together, in rounds, using atomic support counters clamped at `l`. Edges
 //! peeled at level `l` get trussness `l + 2`. The output is identical to the
