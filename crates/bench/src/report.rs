@@ -1,6 +1,7 @@
 //! Tabular experiment reports: aligned console output + JSON persistence.
 
 use et_core::timings::Kernel;
+use et_obs::json::quote_into;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -108,7 +109,7 @@ impl Report {
     /// a `mem` map) and `metrics`, each only when there is something in it.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"title\": ");
-        json_string(&mut out, &self.title);
+        quote_into(&mut out, &self.title);
         out.push_str(",\n  \"notes\": ");
         json_strings(&mut out, &self.notes);
         out.push_str(",\n  \"headers\": ");
@@ -123,7 +124,7 @@ impl Report {
             out.push_str(",\n  \"timings\": {");
             for (i, (label, timings)) in self.timings.iter().enumerate() {
                 out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-                json_string(&mut out, label);
+                quote_into(&mut out, label);
                 out.push_str(": ");
                 json_timings(&mut out, timings);
             }
@@ -144,20 +145,6 @@ impl Report {
     }
 }
 
-/// Appends `s` as a JSON string literal.
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Appends `items` as a JSON array of strings.
 fn json_strings(out: &mut String, items: &[String]) {
     out.push('[');
@@ -165,7 +152,7 @@ fn json_strings(out: &mut String, items: &[String]) {
         if i > 0 {
             out.push_str(", ");
         }
-        json_string(out, item);
+        quote_into(out, item);
     }
     out.push(']');
 }

@@ -17,8 +17,7 @@
 //!   ([`afforest_edge_components`]).
 //!
 //! The drivers below own the only copies of the hooking, shortcut, linking,
-//! sampling, and compression loops; `et-core` (static graphs) and
-//! `et-dynamic` (incrementally maintained graphs) provide only thin
+//! sampling, and compression loops; `et-core` provides only thin
 //! [`TriangleAdjacency`] views.
 
 use crate::{atomic_find, atomic_find_steps, atomic_link};

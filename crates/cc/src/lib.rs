@@ -9,8 +9,8 @@
 //!   \[39\], the paper's *Baseline* and *C-Optimal*) and Afforest (Sutton,
 //!   Ben-Nun & Barak, IPDPS 2018; reference \[43\], the paper's best
 //!   performer) drivers over a [`engine::TriangleAdjacency`] view of
-//!   "k-triangle neighbors of edge e"; `et-core`'s three paper variants and
-//!   `et-dynamic`'s rebuild path are policies over it.
+//!   "k-triangle neighbors of edge e"; `et-core`'s three paper variants are
+//!   policies over it.
 //! * [`normalize_labels`] / [`same_partition`] — partition comparison for
 //!   the tests that pin the variants against each other.
 
@@ -145,7 +145,7 @@ mod tests {
             // Root-style labels (self-referential ids < n) like the CC
             // algorithms produce, occasionally perturbed to arbitrary ids.
             let a: Vec<u32> = (0..n).map(|_| rng.gen_range(0..n.max(1)) as u32).collect();
-            let b: Vec<u32> = if rng.gen_bool(0.5) {
+            let b: Vec<u32> = if rng.gen_range(0..2u32) == 0 {
                 a.iter().map(|&x| x * 2 + 1).collect() // relabeled, same partition
             } else {
                 (0..n).map(|_| rng.gen_range(0..n.max(1)) as u32).collect()

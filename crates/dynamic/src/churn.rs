@@ -1,17 +1,12 @@
 //! Property-based churn testing: arbitrary update sequences must leave the
-//! dynamic index identical to a from-scratch static build.
+//! dynamic index identical to a from-scratch static build (24 seeded cases
+//! per property, `et_gen::cases`).
 
 #![cfg(test)]
 
 use crate::index::tests::assert_matches_static;
 use crate::{DynamicGraph, DynamicIndex};
-use proptest::prelude::*;
-
-/// An update script: each pair toggles the edge (insert if absent, delete if
-/// present).
-fn arb_script() -> impl Strategy<Value = Vec<(u32, u32)>> {
-    proptest::collection::vec((0u32..16, 0u32..16), 1..40)
-}
+use et_gen::cases::{cases, id_pairs};
 
 /// Compares supernode partitions + superedges through endpoint pairs (the
 /// two indexes live in different edge-id spaces).
@@ -31,13 +26,13 @@ fn canonical(
     sns
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn churn_scripts_match_static_rebuild(script in arb_script()) {
+#[test]
+fn churn_scripts_match_static_rebuild() {
+    cases("churn_scripts_match_static_rebuild", 24, |rng, size| {
         let mut di = DynamicIndex::build(DynamicGraph::new(16));
-        for (u, v) in script {
+        // An update script: each pair toggles the edge (insert if absent,
+        // delete if present).
+        for (u, v) in id_pairs(rng, size, 16, 1..40) {
             if u == v {
                 continue;
             }
@@ -50,10 +45,12 @@ proptest! {
             // nothing in the dead slots of either stable-id array.
             assert_matches_static(&di, "after a scripted update");
         }
-    }
+    });
+}
 
-    #[test]
-    fn insert_then_delete_is_identity(edges in proptest::collection::vec((0u32..12, 0u32..12), 1..15)) {
+#[test]
+fn insert_then_delete_is_identity() {
+    cases("insert_then_delete_is_identity", 24, |rng, size| {
         let base = et_gen::gnm(12, 20, 3);
         let mut di = DynamicIndex::build(DynamicGraph::from_indexed(
             &et_graph::EdgeIndexedGraph::new(base.clone()),
@@ -61,7 +58,7 @@ proptest! {
         let before = canonical(di.index(), |e| di.graph().endpoints(e));
         // Insert a batch of brand-new edges, then remove exactly those.
         let mut added = Vec::new();
-        for (u, v) in edges {
+        for (u, v) in id_pairs(rng, size, 12, 1..15) {
             if u != v && di.graph().edge_id(u, v).is_none() {
                 di.insert_edge(u, v);
                 added.push((u, v));
@@ -71,6 +68,6 @@ proptest! {
             di.remove_edge(u, v);
         }
         let after = canonical(di.index(), |e| di.graph().endpoints(e));
-        prop_assert_eq!(before, after);
-    }
+        assert_eq!(before, after);
+    });
 }

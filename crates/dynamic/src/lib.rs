@@ -26,10 +26,10 @@
 
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod churn;
 pub mod graph;
 pub mod index;
-#[cfg(test)]
-mod proptests;
 
 pub use graph::{CapacityError, DynamicGraph};
 pub use index::{DynamicIndex, UpdateStats};

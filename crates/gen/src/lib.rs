@@ -7,7 +7,8 @@
 //! structure (overlapping planted cliques, like DBLP/Amazon), uniform noise
 //! (Erdős–Rényi), and a degree-balanced planar mesh (triangulated grid). `profiles` maps each paper dataset name to a scaled
 //! synthetic analog; `fixtures` provides small graphs with *hand-verified*
-//! truss decompositions — including the paper's own Figure 3 example.
+//! truss decompositions — including the paper's own Figure 3 example — and
+//! `cases` the seeded case runner the workspace's property tests share.
 //!
 //! All generators take an explicit seed and are deterministic across runs and
 //! thread counts.
@@ -15,6 +16,7 @@
 #![warn(missing_docs)]
 
 pub mod barabasi_albert;
+pub mod cases;
 pub mod erdos_renyi;
 pub mod fixtures;
 pub mod mesh;

@@ -1,11 +1,10 @@
 //! Descriptive statistics for graphs (Table 3-style dataset summaries).
 
 use crate::{CsrGraph, EdgeId, EdgeIndexedGraph, VertexId};
-use serde::Serialize;
 
 /// Summary statistics of a graph, mirroring the dataset columns the paper
 /// reports in Table 3 plus skew indicators that drive kernel behaviour.
-#[derive(Clone, Debug, Serialize, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GraphStats {
     /// Number of vertices.
     pub num_vertices: usize,
@@ -55,7 +54,7 @@ const SKETCH_EDGE_CAP: usize = 50_000;
 /// O(sample) work: skewed graphs favor the oriented kernel (short
 /// out-lists under degree ordering), balanced ones the per-edge merge
 /// (productive full-list intersections, no DAG to build).
-#[derive(Clone, Debug, Serialize, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ShapeStats {
     /// Mean of `min(deg u, deg v) / max(deg u, deg v)` over sampled edges:
     /// close to 1 when endpoints have similar degrees (meshes, regular

@@ -67,6 +67,10 @@ impl StealQueue {
     /// Builds a queue from per-shard task lists. Empty input ranges are
     /// dropped; shard count is preserved even for empty shards so
     /// `worker % num_shards` stays aligned with the caller's layout.
+    ///
+    /// # Panics
+    /// If a range ends past `u32::MAX`: a slot packs both bounds into one
+    /// word. This is the only check — claims only ever shrink a range.
     pub fn new(shard_tasks: Vec<Vec<Range<usize>>>) -> Self {
         let shards = shard_tasks
             .into_iter()
@@ -74,7 +78,13 @@ impl StealQueue {
                 slots: tasks
                     .into_iter()
                     .filter(|r| r.end > r.start)
-                    .map(|r| AtomicU64::new(pack(&r)))
+                    .map(|r| {
+                        assert!(
+                            r.end <= u32::MAX as usize,
+                            "steal: task range {r:?} ends past the u32 index space of a slot"
+                        );
+                        AtomicU64::new(pack(&r))
+                    })
                     .collect(),
                 cursor: AtomicUsize::new(0),
             })
@@ -345,6 +355,12 @@ mod tests {
         let (claims, stats) = collect_claims(vec![vec![0..MIN_GRAIN]]);
         assert_eq!(claims, vec![0..MIN_GRAIN]);
         assert_eq!(stats.tasks, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "task range 0..4294967296 ends past")]
+    fn a_range_past_u32_is_refused_in_every_profile() {
+        StealQueue::new(vec![vec![0..7, 0..(u32::MAX as usize + 1)]]);
     }
 
     #[test]

@@ -6,8 +6,8 @@ use et_graph::steal;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Deterministic splitmix64 so failures reproduce without a proptest
-/// dependency; each case prints its seed on failure.
+/// Deterministic splitmix64 so failures reproduce; each case prints its seed
+/// on failure.
 struct Rng(u64);
 impl Rng {
     fn next(&mut self) -> u64 {

@@ -55,6 +55,7 @@
 #![warn(missing_docs)]
 
 mod hist;
+pub mod json;
 mod mem;
 mod metrics;
 mod occupancy;
@@ -134,13 +135,41 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// Serializes tests that toggle the process-global switches.
     static LOCK: Mutex<()> = Mutex::new(());
 
-    /// Takes the cross-test serialization lock (poison-tolerant, so one
-    /// failing test does not cascade).
-    pub(crate) fn lock() -> std::sync::MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    /// Held by every test of this crate: serializes the ones that toggle the
+    /// process-global switches (and keeps the others' allocations out of the
+    /// memory tests' windows), and on drop — normal or unwinding — switches
+    /// both off and clears what was recorded, so a failing test cannot fail
+    /// the ones that run after it.
+    pub(crate) struct Serial(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
+
+    impl Drop for Serial {
+        fn drop(&mut self) {
+            set_enabled(false);
+            set_mem_enabled(false);
+            reset();
+        }
+    }
+
+    /// Takes the cross-test serialization lock (poison-tolerant).
+    pub(crate) fn lock() -> Serial {
+        Serial(LOCK.lock().unwrap_or_else(|p| p.into_inner()))
+    }
+
+    #[test]
+    fn a_failing_test_leaves_the_switches_off() {
+        let died = std::panic::catch_unwind(|| {
+            let _guard = lock();
+            set_enabled(true);
+            set_mem_enabled(true);
+            counter_add("test.left_behind", 1);
+            panic!("test body dies with both switches on");
+        });
+        assert!(died.is_err());
+        let _guard = lock();
+        assert!(!enabled() && !mem_enabled());
+        assert!(snapshot().is_empty());
     }
 
     #[test]
@@ -186,7 +215,6 @@ mod tests {
                 });
             }
         });
-        set_enabled(false);
         assert_eq!(snapshot().counter("test.threads"), 8 * 1010);
     }
 
@@ -198,7 +226,6 @@ mod tests {
         for v in [4u64, 1, 3, 2, 5] {
             record_value("test.dist", v);
         }
-        set_enabled(false);
         let snap = snapshot();
         let d = snap.distribution("test.dist").unwrap();
         assert_eq!(d.count, 5);
@@ -225,7 +252,6 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
         }
-        set_enabled(false);
         let events = take_events();
         assert_eq!(events.len(), 2);
         // Drop order: inner closes first.
@@ -256,7 +282,6 @@ mod tests {
         {
             let _after = span("test.after_panic");
         }
-        set_enabled(false);
         let events = take_events();
         assert!(events.iter().any(|e| e.name == "test.panics"));
         assert!(events.iter().any(|e| e.name == "test.after_panic"));
@@ -270,7 +295,6 @@ mod tests {
         let s = span("test.finish");
         std::thread::sleep(std::time::Duration::from_millis(1));
         let stats = s.finish();
-        set_enabled(false);
         assert!(stats.dur_us >= 1_000, "dur_us = {}", stats.dur_us);
         assert!(stats.mem.is_none(), "mem tracking is off");
         // finish() records the event exactly once (no double-close on drop).
@@ -288,29 +312,13 @@ mod tests {
         }
         counter_add("test.counter", 7);
         record_value("test.dist", 42);
-        set_enabled(false);
         let json = capture_trace().to_json();
-        // Minimal structural validation without a JSON parser: balanced
-        // braces/brackets outside strings, expected keys present.
-        let mut depth = 0i32;
-        let mut in_str = false;
-        let mut escape = false;
-        for c in json.chars() {
-            if escape {
-                escape = false;
-                continue;
-            }
-            match c {
-                '\\' if in_str => escape = true,
-                '"' => in_str = !in_str,
-                '{' | '[' if !in_str => depth += 1,
-                '}' | ']' if !in_str => depth -= 1,
-                _ => {}
-            }
-            assert!(depth >= 0, "unbalanced JSON");
-        }
-        assert_eq!(depth, 0, "unbalanced JSON");
-        assert!(!in_str, "unterminated string");
+        let doc = json::parse(&json).expect("the export parses strictly");
+        let event = &doc["traceEvents"][0];
+        assert_eq!(event["name"].as_str(), Some("test.\"quoted\"\\name"));
+        assert_eq!(event["args"]["k"].as_u64(), Some(3));
+        let dist = &doc["metrics"]["distributions"]["test.dist"];
+        assert_eq!(dist["mean"].as_f64(), Some(42.0));
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"ph\": \"X\""));
         assert!(json.contains("\\\"quoted\\\"\\\\name"));
@@ -328,7 +336,6 @@ mod tests {
         record_value("test.reset_dist", 99);
         let _ = span("test.reset_span");
         reset();
-        set_enabled(false);
         assert!(snapshot().is_empty());
         assert!(take_events().is_empty());
     }
@@ -344,7 +351,6 @@ mod tests {
         reset();
         // A fresh sample after reset must not see the old three.
         record_value("test.reset_detach", 7);
-        set_enabled(false);
         let snap = snapshot();
         let d = snap.distribution("test.reset_detach").unwrap();
         assert_eq!(d.count, 1);
@@ -399,10 +405,7 @@ mod tests {
                 outer_stats = outer.finish();
                 drop(a);
             }
-            set_mem_enabled(false);
-            set_enabled(false);
             let phases = mem_phase_stats();
-            reset();
             // Exclusive attribution: each span's phase slot owns its bytes.
             assert!(phase(&phases, "test.mem_outer").alloc_bytes >= 2 * MB as u64);
             assert!(phase(&phases, "test.mem_inner").alloc_bytes >= 4 * MB as u64);
@@ -432,33 +435,8 @@ mod tests {
                     });
                 });
             }
-            set_mem_enabled(false);
-            set_enabled(false);
             let phases = mem_phase_stats();
-            reset();
             assert!(phase(&phases, "test.mem_xthread").alloc_bytes >= 8 * MB as u64);
-        }
-
-        #[test]
-        fn footprint_counters_track_alloc_and_free() {
-            let _guard = lock();
-            set_mem_enabled(true);
-            reset();
-            let before = mem_current_bytes_raw();
-            let v = vec![4u8; 16 * MB];
-            std::hint::black_box(&v);
-            let during = mem_current_bytes_raw();
-            assert!(during >= before + 16 * MB as i64, "{before} -> {during}");
-            drop(v);
-            let after = mem_current_bytes_raw();
-            assert!(after < during, "{during} -> {after}");
-            // Snapshot injection: the global counters surface in metrics.
-            let snap = snapshot();
-            assert!(snap.counter("mem.alloc_bytes") >= 16 * MB as u64);
-            assert!(snap.counters.contains_key("mem.peak_bytes"));
-            assert!(snap.counters.contains_key("mem.current_bytes"));
-            set_mem_enabled(false);
-            reset();
         }
 
         #[test]
@@ -472,10 +450,8 @@ mod tests {
                 let v = vec![5u8; MB];
                 std::hint::black_box(&v);
             }
-            set_enabled(false);
             let phases = mem_phase_stats();
             let snap = snapshot();
-            reset();
             assert!(
                 phases.iter().all(|p| p.name != "test.mem_disabled"),
                 "disabled tracking registered a phase: {phases:?}"

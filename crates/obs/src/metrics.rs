@@ -218,7 +218,7 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push_str(", ");
             }
-            crate::trace::push_json_string(out, name);
+            crate::json::quote_into(out, name);
             out.push_str(&format!(": {v}"));
         }
         out.push_str("}, \"distributions\": {");
@@ -226,7 +226,7 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push_str(", ");
             }
-            crate::trace::push_json_string(out, name);
+            crate::json::quote_into(out, name);
             out.push_str(&format!(
                 ": {{\"count\": {}, \"min\": {}, \"max\": {}, \"sum\": {}, \
                  \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p95\": {}, \"p99\": {}}}",

@@ -32,16 +32,12 @@ const MAX_THREADS: usize = 256;
 /// drop naturally:
 ///
 /// ```
+/// use rayon::prelude::*;
 /// et_obs::set_enabled(true);
 /// let wave = et_obs::wave("Example");
-/// rayon::scope(|s| {
-///     for _ in 0..4 {
-///         let wave = &wave;
-///         s.spawn(move |_| {
-///             let _task = wave.task();
-///             // ... work ...
-///         });
-///     }
+/// (0..4u32).into_par_iter().for_each(|_| {
+///     let _task = wave.task();
+///     // ... work ...
 /// });
 /// drop(wave);
 /// et_obs::set_enabled(false);
@@ -163,9 +159,7 @@ mod tests {
                 std::hint::black_box((0..20_000u64).sum::<u64>());
             });
         }
-        crate::set_enabled(false);
         let snap = crate::snapshot();
-        crate::reset();
         assert_eq!(snap.counter("par.tasks.TestWave"), 64);
         let busy = snap.distribution("par.busy_us.TestWave").expect("busy");
         assert!(busy.sum > 0);

@@ -5,6 +5,7 @@
 //! with the metrics snapshot riding along under a `metrics` key (unknown
 //! top-level keys are ignored by trace viewers).
 
+use crate::json::quote_into;
 use crate::metrics::MetricsSnapshot;
 use crate::span::TraceEvent;
 use std::io;
@@ -26,7 +27,7 @@ impl ChromeTrace {
         out.push_str("{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n");
         for (i, e) in self.events.iter().enumerate() {
             out.push_str("    {\"name\": ");
-            push_json_string(&mut out, &e.name);
+            quote_into(&mut out, &e.name);
             out.push_str(&format!(
                 ", \"cat\": \"equitruss\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \
                  \"pid\": 1, \"tid\": {}",
@@ -38,7 +39,7 @@ impl ChromeTrace {
                     if j > 0 {
                         out.push_str(", ");
                     }
-                    push_json_string(&mut out, k);
+                    quote_into(&mut out, k);
                     out.push_str(&format!(": {v}"));
                 }
                 out.push('}');
@@ -72,21 +73,4 @@ pub fn capture_trace() -> ChromeTrace {
 /// Convenience: [`capture_trace`] and write it to `path`.
 pub fn write_chrome_trace(path: &Path) -> io::Result<()> {
     capture_trace().write(path)
-}
-
-/// Appends `s` as a JSON string literal (quoted, escaped) to `out`.
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }

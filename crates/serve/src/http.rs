@@ -2,8 +2,8 @@
 //!
 //! The server speaks a deliberately small subset: request line + headers +
 //! optional `Content-Length` body, keep-alive by default, no chunked
-//! encoding, no TLS. Everything rides on `std::net` so the crate adds zero
-//! dependencies beyond the workspace's serde stack.
+//! encoding, no TLS. Everything rides on `std::net`, so the crate has no
+//! dependency outside the workspace.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, Write};

@@ -2,26 +2,12 @@
 //!
 //! Responses are built with a two-type builder ([`Obj`]/[`Arr`]) instead of
 //! a `Value` tree: the hot `/query` path renders straight into one `String`
-//! with no intermediate allocations, and the crate stays independent of any
-//! particular value-model API. Parsing (the `/batch` body) still goes
-//! through `serde_json`.
+//! with no intermediate allocations. String escaping, and the strict reader
+//! the `/batch` body goes through, are `et_obs::json` — the workspace's one
+//! JSON module.
 
-/// Escapes `s` as a JSON string (without surrounding quotes) into `out`.
-pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
+pub use et_obs::json::escape_into;
+use et_obs::json::quote_into;
 
 fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
@@ -58,9 +44,8 @@ impl Obj {
             self.buf.push(',');
         }
         self.first = false;
-        self.buf.push('"');
-        escape_into(&mut self.buf, key);
-        self.buf.push_str("\":");
+        quote_into(&mut self.buf, key);
+        self.buf.push(':');
     }
 
     /// A field whose value is already-rendered JSON.
@@ -94,9 +79,7 @@ impl Obj {
     /// A string field (escaped).
     pub fn str(mut self, key: &str, v: &str) -> Self {
         self.key(key);
-        self.buf.push('"');
-        escape_into(&mut self.buf, v);
-        self.buf.push('"');
+        quote_into(&mut self.buf, v);
         self
     }
 

@@ -37,6 +37,7 @@ use et_community::{
     batch_query_communities, community_of_edge, community_stats, query_communities,
 };
 use et_graph::Backend;
+use et_obs::json::Value;
 use et_obs::Log2Histogram;
 use http::{ParseError, Request};
 use json::{Arr, Obj};
@@ -291,8 +292,7 @@ pub const MAX_BATCH: usize = 65_536;
 /// Parses a `/batch` body: `{"queries": [[v, k], ...]}`.
 fn parse_batch(body: &[u8]) -> Result<Vec<(u32, u32)>, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    let doc: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| format!("bad batch body: {e}"))?;
+    let doc = et_obs::json::parse(text).map_err(|e| format!("bad batch body: {e}"))?;
     let items = doc
         .get("queries")
         .and_then(|q| q.as_array())
@@ -303,20 +303,18 @@ fn parse_batch(body: &[u8]) -> Result<Vec<(u32, u32)>, String> {
             items.len()
         ));
     }
-    let mut queries = Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        let pair = item.as_array().filter(|p| p.len() == 2);
-        let parsed = pair.and_then(|p| {
-            let v = p[0].as_u64().filter(|&x| x <= u64::from(u32::MAX))?;
-            let k = p[1].as_u64().filter(|&x| x <= u64::from(u32::MAX))?;
-            Some((v as u32, k as u32))
-        });
-        match parsed {
-            Some(q) => queries.push(q),
-            None => return Err(format!("queries[{i}] must be a [v, k] pair of u32s")),
-        }
-    }
-    Ok(queries)
+    let id = |x: &Value| x.as_u64().and_then(|x| u32::try_from(x).ok());
+    items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| {
+            let pair = match item.as_array() {
+                Some([v, k]) => id(v).zip(id(k)),
+                _ => None,
+            };
+            pair.ok_or_else(|| format!("queries[{i}] must be a [v, k] pair of u32s"))
+        })
+        .collect()
 }
 
 fn handle_batch(shared: &SharedIndex, state: &ServeState, req: &Request) -> (u16, String) {
@@ -664,6 +662,50 @@ mod tests {
         }
     }
 
+    fn post_batch(body: Vec<u8>) -> Request {
+        Request {
+            method: "POST".to_string(),
+            path: "/batch".to_string(),
+            body,
+            ..get("", &[])
+        }
+    }
+
+    #[test]
+    fn batch_bodies_get_the_status_they_always_got() {
+        let shared = Arc::new(SharedIndex::new(k4_state(), 0, None));
+        let (state, _) = shared.swap().load();
+        let pairs = |n: usize| format!("{{\"queries\": [{}]}}", vec!["[0, 3]"; n].join(","));
+        let table: Vec<(Vec<u8>, u16)> = vec![
+            (r#"{"queries": [[0, 3], [1, 4]]}"#.into(), 200),
+            (r#" {"other": null, "queries": []} "#.into(), 200),
+            (r#"{"queries": [[4294967295, 4294967295]]}"#.into(), 200),
+            (r#"{"queries": [[4294967296, 3]]}"#.into(), 400),
+            (r#"{"queries": [[0.0, 3]]}"#.into(), 400),
+            (r#"{"queries": [[1e0, 3]]}"#.into(), 400),
+            (r#"{"queries": [[-1, 3]]}"#.into(), 400),
+            (r#"{"queries": [["0", 3]]}"#.into(), 400),
+            (r#"{"queries": [[1]]}"#.into(), 400),
+            (r#"{"queries": [[1, 2, 3]]}"#.into(), 400),
+            (r#"{"queries": [[0, 3]]} trailing"#.into(), 400),
+            (r#"{"queries": [[0, 3]]"#.into(), 400),
+            (r#"{"queries": {"0": 3}}"#.into(), 400),
+            (r#"[[0, 3]]"#.into(), 400),
+            ("".into(), 400),
+            (b"{\"queries\": [[0, 3]], \"x\": \"\xff\"}".to_vec(), 400),
+            (pairs(MAX_BATCH).into(), 200),
+            (pairs(MAX_BATCH + 1).into(), 400),
+            ("[".repeat(100_000).into(), 400),
+        ];
+        for (body, want) in table {
+            let shown = String::from_utf8_lossy(&body[..body.len().min(60)]).into_owned();
+            let (status, answer) = handle(&shared, &state, &post_batch(body));
+            assert_eq!(status, want, "{shown}: {answer}");
+            let doc = et_obs::json::parse(&answer).expect("every answer is strict JSON");
+            assert_eq!(doc["error"].as_str().is_some(), want == 400, "{shown}");
+        }
+    }
+
     /// A thread dies holding the LRU's lock, as a panicking handler would.
     fn poison_cache(shared: &Arc<SharedIndex>) {
         let holder = Arc::clone(shared);
@@ -699,7 +741,8 @@ mod tests {
         poison_cache(&shared);
         let (status, stats) = handle(&shared, &state, &get("/stats", &[]));
         assert_eq!(status, 200);
-        assert!(stats.contains("\"cache\""), "{stats}");
+        let stats = et_obs::json::parse(&stats).expect("/stats is strict JSON");
+        assert_eq!(stats["serve"]["cache"]["capacity"].as_u64(), Some(8));
         assert!(!shared.cache.is_poisoned());
 
         // publish next.

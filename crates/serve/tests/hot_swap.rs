@@ -6,8 +6,8 @@
 
 use et_core::{build_index, SuperGraph, TrussHierarchy, Variant};
 use et_graph::{EdgeIndexedGraph, GraphBuilder};
+use et_obs::json;
 use et_serve::{ServeConfig, ServeState, Server, SharedIndex};
-use serde_json::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -81,7 +81,7 @@ fn reader_loop(addr: std::net::SocketAddr, done: &AtomicBool) -> u64 {
         }
         let mut raw = vec![0u8; content_length];
         reader.read_exact(&mut raw).expect("body");
-        let doc: Value = serde_json::from_str(std::str::from_utf8(&raw).unwrap()).expect("json");
+        let doc = json::parse(std::str::from_utf8(&raw).unwrap()).expect("json");
 
         let epoch = doc["epoch"].as_u64().expect("epoch");
         assert!(

@@ -4,8 +4,8 @@
 
 use et_core::{build_index, Variant};
 use et_graph::{EdgeIndexedGraph, GraphBuilder};
+use et_obs::json::{self, Value};
 use et_serve::{ReloadSpec, ServeConfig, ServeState, Server, SharedIndex};
-use serde_json::Value;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -58,11 +58,11 @@ fn request(addr: SocketAddr, method: &str, target: &str, body: Option<&str>) -> 
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or_else(|| panic!("bad response: {raw:?}"));
-    let json = raw
+    let payload = raw
         .split_once("\r\n\r\n")
         .map(|(_, b)| b)
         .unwrap_or_default();
-    let value = serde_json::from_str(json).unwrap_or_else(|e| panic!("bad body {json:?}: {e}"));
+    let value = json::parse(payload).unwrap_or_else(|e| panic!("bad body {payload:?}: {e}"));
     (status, value)
 }
 

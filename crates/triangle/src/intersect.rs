@@ -416,10 +416,10 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(99);
         for _ in 0..200 {
-            let mut a: Vec<VertexId> = (0..rng.gen_range(0..60))
+            let mut a: Vec<VertexId> = (0..rng.gen_range(0..60usize))
                 .map(|_| rng.gen_range(0..100))
                 .collect();
-            let mut b: Vec<VertexId> = (0..rng.gen_range(0..2000))
+            let mut b: Vec<VertexId> = (0..rng.gen_range(0..2000usize))
                 .map(|_| rng.gen_range(0..3000))
                 .collect();
             a.sort_unstable();

@@ -247,12 +247,12 @@ fn u32_max_boundary_values() {
 
     let mut rng = StdRng::seed_from_u64(11);
     for _ in 0..60 {
-        let mut a: Vec<V> = (0..rng.gen_range(0..30))
+        let mut a: Vec<V> = (0..rng.gen_range(0..30usize))
             .map(|_| u32::MAX - rng.gen_range(0u32..50))
             .collect();
         a.sort_unstable();
         a.dedup();
-        let mut b: Vec<V> = (0..rng.gen_range(0..500))
+        let mut b: Vec<V> = (0..rng.gen_range(0..500usize))
             .map(|_| u32::MAX - rng.gen_range(0u32..2_000))
             .collect();
         b.sort_unstable();

@@ -1,5 +1,5 @@
 //! Corrupt-input corpus against both on-disk loaders (graph binary/text and
-//! the EquiTruss index), plus property tests pinning the chunked parallel
+//! the EquiTruss index), plus a property test pinning the chunked parallel
 //! text parser to the serial oracle.
 //!
 //! Every corpus entry must be rejected with a *located* error — never a
@@ -8,11 +8,12 @@
 
 use parallel_equitruss::equitruss::io::IndexIoError;
 use parallel_equitruss::equitruss::{build_index, io as index_io, Variant};
+use parallel_equitruss::gen::cases::{cases, id_pairs};
 use parallel_equitruss::graph::{
-    io as graph_io, CsrGraph, EdgeIndexedGraph, GraphBuilder, GraphError,
+    io as graph_io, Backend, CsrGraph, EdgeIndexedGraph, GraphBuilder, GraphError,
 };
 use parallel_equitruss::truss::decompose_parallel;
-use proptest::prelude::*;
+use rand::Rng;
 use std::io::Cursor;
 use std::path::PathBuf;
 
@@ -178,6 +179,11 @@ fn text_garbage_token_locates_line_across_chunks() {
 
 // ---- index loader corpus ---------------------------------------------------
 
+/// Length of the format magic every `.etidx` file opens with. The corrupt
+/// files below take theirs from a freshly written index, never a literal, so
+/// a format bump cannot turn them into bad-magic tests.
+const MAGIC_LEN: usize = 8;
+
 /// A valid index file plus its raw bytes.
 fn valid_index(name: &str) -> (PathBuf, Vec<u8>) {
     let g = EdgeIndexedGraph::new(sample_graph());
@@ -189,16 +195,19 @@ fn valid_index(name: &str) -> (PathBuf, Vec<u8>) {
     (path, bytes)
 }
 
+/// Both backends must refuse the file with a `Corrupt` error naming `needle`.
 fn expect_index_rejection(path: &PathBuf, needle: &str) {
-    match index_io::read_index(path) {
-        Err(IndexIoError::Corrupt(m)) => {
-            assert!(
+    for backend in [Backend::Owned, Backend::Mapped] {
+        match index_io::read_index_with_hierarchy_with(path, backend) {
+            Err(IndexIoError::Corrupt(m)) => assert!(
                 m.contains(needle),
-                "error {m:?} does not mention {needle:?}"
-            )
+                "{backend:?}: error {m:?} does not mention {needle:?}"
+            ),
+            Err(other) => {
+                panic!("{backend:?}: expected Corrupt mentioning {needle:?}, got {other}")
+            }
+            Ok(_) => panic!("{backend:?}: corrupt index accepted (expected {needle:?})"),
         }
-        Err(other) => panic!("expected Corrupt mentioning {needle:?}, got {other}"),
-        Ok(_) => panic!("corrupt index accepted (expected error mentioning {needle:?})"),
     }
 }
 
@@ -214,8 +223,8 @@ fn index_bad_magic_rejected() {
 fn index_length_over_cap_rejected_without_allocating() {
     // First array length claims 2^62 entries; the sanity cap must fire
     // before any attempt to reserve that much.
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"ETIDXv02");
+    let (_, mut bytes) = valid_index("icap-valid.etidx");
+    bytes.truncate(MAGIC_LEN);
     bytes.extend_from_slice(&(1u64 << 62).to_le_bytes());
     let p = write_corpus("icap.etidx", &bytes);
     expect_index_rejection(&p, "sanity cap");
@@ -225,8 +234,8 @@ fn index_length_over_cap_rejected_without_allocating() {
 fn index_truncated_array_rejected() {
     // Length 1000 is under the cap but the file holds only 8 more bytes —
     // the remaining-bytes cross-check must fire before allocation.
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"ETIDXv02");
+    let (_, mut bytes) = valid_index("itrunc-valid.etidx");
+    bytes.truncate(MAGIC_LEN);
     bytes.extend_from_slice(&1000u64.to_le_bytes());
     bytes.extend_from_slice(&7u64.to_le_bytes());
     let p = write_corpus("itrunc.etidx", &bytes);
@@ -269,22 +278,21 @@ fn render_text(edges: &[(u32, u32)]) -> String {
     text
 }
 
-proptest! {
-    #[test]
-    fn parallel_parse_matches_serial(
-        edges in proptest::collection::vec((0u32..300, 0u32..300), 0..400),
-        chunks in 1usize..24,
-    ) {
+#[test]
+fn parallel_parse_matches_serial() {
+    cases("parallel_parse_matches_serial", 256, |rng, size| {
+        let edges = id_pairs(rng, size, 300, 0..400);
+        let chunks = rng.gen_range(1usize..24);
         let text = render_text(&edges);
         let serial = graph_io::parse_text_edge_list_serial(Cursor::new(text.as_bytes()))
             .expect("serial parse");
         let auto = graph_io::parse_text_edge_list_bytes(text.as_bytes()).expect("auto parse");
-        let forced = graph_io::parse_text_edge_list_chunked(text.as_bytes(), chunks)
-            .expect("chunked parse");
-        prop_assert_eq!(&serial, &auto);
-        prop_assert_eq!(&serial, &forced);
-        prop_assert_eq!(serial.build(), auto.build());
-    }
+        let forced =
+            graph_io::parse_text_edge_list_chunked(text.as_bytes(), chunks).expect("chunked parse");
+        assert_eq!(&serial, &auto);
+        assert_eq!(&serial, &forced);
+        assert_eq!(serial.build(), auto.build());
+    });
 }
 
 #[test]
