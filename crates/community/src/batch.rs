@@ -5,9 +5,11 @@
 //! embarrassingly with rayon — one more payoff of building the index up
 //! front. Each rayon worker reuses its own thread-local
 //! [`crate::scratch::QueryScratch`], so a batch of any size performs at most
-//! one visited-set allocation per worker thread.
+//! one visited-set and one bitmap allocation per worker thread.
 
-use crate::query::{count_communities, query_communities, Community};
+use crate::query::{
+    community_stats, count_communities, query_communities, Community, CommunityStats,
+};
 use et_core::{SuperGraph, TrussHierarchy};
 use et_graph::{EdgeIndexedGraph, VertexId};
 use rayon::prelude::*;
@@ -23,6 +25,21 @@ pub fn batch_query_communities(
     queries
         .par_iter()
         .map(|&(q, k)| query_communities(graph, index, hierarchy, q, k))
+        .collect()
+}
+
+/// [`community_stats`] of every `(vertex, k)` pair in parallel — what
+/// [`batch_query_communities`] would return, as sizes: for a caller that
+/// reports counts, no community is materialized.
+pub fn batch_community_stats(
+    graph: &EdgeIndexedGraph,
+    index: &SuperGraph,
+    hierarchy: &TrussHierarchy,
+    queries: &[(VertexId, u32)],
+) -> Vec<Vec<CommunityStats>> {
+    queries
+        .par_iter()
+        .map(|&(q, k)| community_stats(graph, index, hierarchy, q, k))
         .collect()
 }
 
@@ -102,6 +119,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn stats_batch_matches_materialized_batch() {
+        let (eg, idx, h) = setup(fixtures::paper_example().graph.clone());
+        let queries: Vec<(u32, u32)> = (0..11).flat_map(|q| [(q, 3), (q, 4), (q, 6)]).collect();
+        let answers = batch_query_communities(&eg, &idx, &h, &queries);
+        let stats = batch_community_stats(&eg, &idx, &h, &queries);
+        for ((answer, stats), &(q, k)) in answers.iter().zip(&stats).zip(&queries) {
+            let mut sizes: Vec<_> = answer.iter().map(|c| c.edges.len() as u64).collect();
+            let mut edges: Vec<_> = stats.iter().map(|s| s.edges).collect();
+            sizes.sort_unstable();
+            edges.sort_unstable();
+            assert_eq!(sizes, edges, "q={q} k={k}");
+        }
+    }
+
+    /// `vertices()` borrows the worker's scratch; a query's own borrow must
+    /// be over by then, whether the worker ran the query itself or a whole
+    /// batch of them.
+    #[test]
+    fn vertices_and_subgraph_of_every_answer_inside_a_rayon_worker() {
+        let (eg, idx, h) = setup(fixtures::paper_example().graph.clone());
+        let queries: Vec<(u32, u32)> = (0..11).flat_map(|q| [(q, 3), (q, 4), (q, 5)]).collect();
+        let check = |c: &Community| {
+            let vertices = c.vertices(&eg);
+            assert!(vertices.windows(2).all(|w| w[0] < w[1]));
+            let sub = c.subgraph(&eg);
+            assert_eq!(sub.graph.num_vertices(), vertices.len());
+            assert_eq!(sub.graph.num_edges(), c.edges.len());
+        };
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            queries.par_iter().for_each(|&(q, k)| {
+                query_communities(&eg, &idx, &h, q, k)
+                    .iter()
+                    .for_each(check);
+                let batch = batch_query_communities(&eg, &idx, &h, &queries);
+                batch.iter().flatten().for_each(check);
+            });
+        });
     }
 
     #[test]

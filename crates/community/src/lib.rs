@@ -31,12 +31,13 @@ pub mod query;
 pub mod scratch;
 pub mod tcp;
 
-pub use batch::{batch_query_communities, membership_counts};
+pub use batch::{batch_community_stats, batch_query_communities, membership_counts};
 pub use kcore::{KCoreCommunity, KCoreIndex};
 pub use membership::CommunityIndex;
 pub use metrics::{community_metrics, vertex_set_metrics, CommunityMetrics};
 pub use query::{
-    community_of_edge, community_stats, count_communities, query_communities,
-    query_communities_bfs, strongest_communities, Community, CommunityStats,
+    community_of_edge, community_stats, community_vertices, count_communities,
+    edge_community_stats, query_communities, query_communities_bfs, strongest_communities,
+    Community, CommunityStats,
 };
 pub use tcp::TcpIndex;

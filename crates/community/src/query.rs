@@ -8,16 +8,23 @@
 //! * **Hierarchy** ([`query_communities`]) — the serving path. Each seed
 //!   supernode resolves its community id by climbing the offline
 //!   [`TrussHierarchy`] merge forest (near-O(α) per seed); the community's
-//!   supernodes are then one contiguous leaf slice, so materialization is a
-//!   copy + sort, and count/size queries touch no edges at all.
+//!   supernodes are then one contiguous leaf slice, and materialization is a
+//!   mark-and-scan over the id domain
+//!   ([`QueryScratch::for_each_sorted`]) — one bit set per member id, read
+//!   back in order, no comparison sort. Count and size queries ([`count_communities`],
+//!   [`community_stats`], [`edge_community_stats`]) touch no edges at all,
+//!   and [`community_vertices`] marks endpoints straight off the leaf slice
+//!   without building an edge list.
 //! * **BFS** ([`query_communities_bfs`]) — the original trussness-filtered
 //!   supergraph traversal, kept as the correctness oracle and as the
-//!   fallback when no hierarchy has been built.
+//!   fallback when no hierarchy has been built. It orders its answers with
+//!   its own `sort_unstable`: an oracle must not share the code it checks.
 //!
 //! Both engines return byte-identical [`Community`] values and both track
-//! visited/seed state in the epoch-stamped thread-local
-//! [`crate::scratch::QueryScratch`] — steady-state serving performs no heap
-//! allocation beyond the returned communities themselves.
+//! visited/seed state in the epoch-stamped thread-local [`QueryScratch`] —
+//! steady-state serving performs no heap allocation beyond the returned
+//! communities themselves. The scratch is borrowed once, at the public entry
+//! point, and passed down.
 
 use crate::scratch::{with_scratch, QueryScratch};
 use et_core::{SuperGraph, TrussHierarchy};
@@ -38,15 +45,10 @@ pub struct Community {
 impl Community {
     /// The distinct vertices spanned by the community's edges (sorted).
     pub fn vertices(&self, graph: &EdgeIndexedGraph) -> Vec<VertexId> {
-        let mut vs: Vec<VertexId> = Vec::with_capacity(self.edges.len() * 2);
-        for &e in &self.edges {
-            let (u, v) = graph.endpoints(e);
-            vs.push(u);
-            vs.push(v);
-        }
-        vs.sort_unstable();
-        vs.dedup();
-        vs
+        with_scratch(|scratch| {
+            let edges = self.edges.iter().copied();
+            sorted_endpoints(graph, edges, self.edges.len(), scratch)
+        })
     }
 
     /// Materializes the community as a standalone subgraph with an id map
@@ -66,6 +68,17 @@ pub struct CommunityStats {
     pub supernodes: u32,
     /// Number of member edges in the community.
     pub edges: u64,
+}
+
+impl CommunityStats {
+    fn of(hierarchy: &TrussHierarchy, node: u32) -> CommunityStats {
+        let (supernodes, edges) = hierarchy.stats(node);
+        CommunityStats {
+            node,
+            supernodes,
+            edges,
+        }
+    }
 }
 
 /// Resolves the distinct community representatives of `q` at level `k` into
@@ -102,16 +115,53 @@ fn resolve_seed_reps(
     seeds
 }
 
-/// Copies a hierarchy node's leaf slice into a sorted [`Community`].
-fn materialize(index: &SuperGraph, hierarchy: &TrussHierarchy, rep: u32, k: u32) -> Community {
-    let mut supernodes = hierarchy.leaves(rep).to_vec();
-    supernodes.sort_unstable();
+/// The member edge ids of hierarchy node `rep`, in leaf order.
+fn member_edges<'a>(
+    index: &'a SuperGraph,
+    hierarchy: &'a TrussHierarchy,
+    rep: u32,
+) -> impl Iterator<Item = EdgeId> + 'a {
+    let members = |&sn: &u32| index.members(sn).iter().copied();
+    hierarchy.leaves(rep).iter().flat_map(members)
+}
+
+/// The distinct endpoints of the `edge_count` edges of a community, ascending.
+fn sorted_endpoints(
+    graph: &EdgeIndexedGraph,
+    edges: impl Iterator<Item = EdgeId>,
+    edge_count: usize,
+    scratch: &mut QueryScratch,
+) -> Vec<VertexId> {
+    let endpoints = edges.flat_map(|e| {
+        let (u, v) = graph.endpoints(e);
+        [u, v]
+    });
+    // Every vertex of a k-truss community (k ≥ 3) has two member edges or more.
+    let mut vertices = Vec::with_capacity(edge_count.min(graph.num_vertices()));
+    scratch.for_each_sorted(graph.num_vertices(), endpoints, |v| vertices.push(v));
+    vertices
+}
+
+/// Reads a hierarchy node's leaf slice out as an id-sorted [`Community`].
+fn materialize(
+    index: &SuperGraph,
+    hierarchy: &TrussHierarchy,
+    rep: u32,
+    k: u32,
+    scratch: &mut QueryScratch,
+) -> Community {
+    let leaves = hierarchy.leaves(rep);
+    let mut supernodes = Vec::with_capacity(leaves.len());
+    scratch.for_each_sorted(index.num_supernodes(), leaves.iter().copied(), |sn| {
+        supernodes.push(sn)
+    });
     let (_, edge_count) = hierarchy.stats(rep);
     let mut edges: Vec<EdgeId> = Vec::with_capacity(edge_count as usize);
-    for &sn in &supernodes {
-        edges.extend_from_slice(index.members(sn));
-    }
-    edges.sort_unstable();
+    scratch.for_each_sorted(
+        index.edge_supernode.len(),
+        member_edges(index, hierarchy, rep),
+        |e| edges.push(e),
+    );
     Community {
         k,
         supernodes,
@@ -137,10 +187,8 @@ pub fn query_communities(
     let _span = et_obs::span("Query").arg("k", u64::from(k));
     let mut communities = with_scratch(|scratch| {
         resolve_seed_reps(graph, index, hierarchy, q, k, scratch);
-        scratch
-            .reps
-            .iter()
-            .map(|&rep| materialize(index, hierarchy, rep, k))
+        (0..scratch.reps.len())
+            .map(|i| materialize(index, hierarchy, scratch.reps[i], k, scratch))
             .collect::<Vec<_>>()
     });
     communities.sort_by_key(|c| c.edges.first().copied().unwrap_or(EdgeId::MAX));
@@ -183,18 +231,46 @@ pub fn community_stats(
         scratch
             .reps
             .iter()
-            .map(|&node| {
-                let (supernodes, edges) = hierarchy.stats(node);
-                CommunityStats {
-                    node,
-                    supernodes,
-                    edges,
-                }
-            })
+            .map(|&node| CommunityStats::of(hierarchy, node))
             .collect::<Vec<_>>()
     });
     stats.sort_unstable_by_key(|s| s.node);
     stats
+}
+
+/// The vertex set of every k-truss community of `q`, each ascending —
+/// `query_communities(..)[i].vertices(graph)` for every `i`, in that order,
+/// with endpoints marked straight off the hierarchy's leaf slices: no edge
+/// list is built or ordered on the way.
+pub fn community_vertices(
+    graph: &EdgeIndexedGraph,
+    index: &SuperGraph,
+    hierarchy: &TrussHierarchy,
+    q: VertexId,
+    k: u32,
+) -> Vec<Vec<VertexId>> {
+    if k < 3 || (q as usize) >= graph.num_vertices() {
+        return Vec::new();
+    }
+    with_scratch(|scratch| {
+        resolve_seed_reps(graph, index, hierarchy, q, k, scratch);
+        // `query_communities` orders its answer by smallest member edge id:
+        // each list goes where its community's smallest id, seen while
+        // marking and kept in `scratch.queue`, puts it.
+        let mut communities = Vec::with_capacity(scratch.reps.len());
+        for i in 0..scratch.reps.len() {
+            let rep = scratch.reps[i];
+            let mut smallest = EdgeId::MAX;
+            let edges =
+                member_edges(index, hierarchy, rep).inspect(|&e| smallest = smallest.min(e));
+            let (_, edge_count) = hierarchy.stats(rep);
+            let vertices = sorted_endpoints(graph, edges, edge_count as usize, scratch);
+            let at = scratch.queue.partition_point(|&seen| seen < smallest);
+            scratch.queue.insert(at, smallest);
+            communities.insert(at, vertices);
+        }
+        communities
+    })
 }
 
 /// [`query_communities`] computed by the original trussness-filtered BFS
@@ -288,6 +364,24 @@ fn bfs_component(
     }
 }
 
+/// The hierarchy node of the k-truss community that holds edge `e` at level
+/// `k`, if the edge belongs to one (τ(e) ≥ k ≥ 3).
+fn resolve_edge(
+    graph: &EdgeIndexedGraph,
+    index: &SuperGraph,
+    hierarchy: &TrussHierarchy,
+    e: EdgeId,
+    k: u32,
+) -> Option<u32> {
+    if k < 3 || (e as usize) >= graph.num_edges() {
+        return None;
+    }
+    let seed = index.supernode_of(e)?;
+    let (rep, climbs) = hierarchy.resolve_steps(seed, k);
+    et_obs::counter_add("query.hierarchy_climbs", climbs);
+    rep
+}
+
 /// The k-truss community containing a specific *edge* at level `k`, if the
 /// edge belongs to one (τ(e) ≥ k ≥ 3), resolved through the hierarchy.
 /// Edge-centric queries are the natural primitive when the "entity of
@@ -299,13 +393,22 @@ pub fn community_of_edge(
     e: EdgeId,
     k: u32,
 ) -> Option<Community> {
-    if k < 3 || (e as usize) >= graph.num_edges() {
-        return None;
-    }
-    let seed = index.supernode_of(e)?;
-    let (rep, climbs) = hierarchy.resolve_steps(seed, k);
-    et_obs::counter_add("query.hierarchy_climbs", climbs);
-    Some(materialize(index, hierarchy, rep?, k))
+    let rep = resolve_edge(graph, index, hierarchy, e, k)?;
+    Some(with_scratch(|scratch| {
+        materialize(index, hierarchy, rep, k, scratch)
+    }))
+}
+
+/// Size metadata of the community [`community_of_edge`] would return — one
+/// climb and one aggregate lookup, nothing materialized.
+pub fn edge_community_stats(
+    graph: &EdgeIndexedGraph,
+    index: &SuperGraph,
+    hierarchy: &TrussHierarchy,
+    e: EdgeId,
+    k: u32,
+) -> Option<CommunityStats> {
+    resolve_edge(graph, index, hierarchy, e, k).map(|node| CommunityStats::of(hierarchy, node))
 }
 
 /// The communities of `q` at its personal maximum cohesion level — "the
@@ -367,6 +470,8 @@ mod tests {
             "engines disagree at q={q} k={k}"
         );
         assert_eq!(fast.len(), count_communities(eg, idx, h, q, k));
+        let vertices: Vec<_> = fast.iter().map(|c| c.vertices(eg)).collect();
+        assert_eq!(community_vertices(eg, idx, h, q, k), vertices);
         let stats = community_stats(eg, idx, h, q, k);
         for c in &fast {
             assert!(stats
@@ -498,6 +603,64 @@ mod tests {
         let sub = cs[0].subgraph(&eg);
         assert_eq!(sub.graph.num_vertices(), 5);
         assert_eq!(sub.graph.num_edges(), 10);
+    }
+
+    /// A caller that holds the thread's scratch (`with_scratch` is public)
+    /// may still query and read answers: the inner calls get a temporary.
+    #[test]
+    fn queries_and_vertices_while_the_scratch_is_held() {
+        let (eg, idx, h) = setup(fixtures::paper_example().graph.clone());
+        let outside = query_checked(&eg, &idx, &h, 5, 4);
+        with_scratch(|_held| {
+            let inside = query_communities(&eg, &idx, &h, 5, 4);
+            assert_eq!(inside, outside);
+            assert_eq!(inside[0].vertices(&eg), vec![3, 4, 5, 6, 7, 8, 9, 10]);
+            assert_eq!(inside[0].subgraph(&eg).graph.num_edges(), 18);
+            assert_eq!(
+                community_vertices(&eg, &idx, &h, 5, 4),
+                vec![inside[0].vertices(&eg)]
+            );
+        });
+    }
+
+    /// Sparse noise on 300 vertices plus one triangle on the first, middle
+    /// and last vertex: answers of a few edges whose ids lie as far apart as
+    /// the graph allows, next to dense ones.
+    #[test]
+    fn engines_and_brute_force_agree_on_dense_and_spread_out_answers() {
+        use crate::ground_truth::brute_force_communities;
+        const N: u32 = 300;
+        et_gen::cases::cases("spread_out_answers", 10, |rng, size| {
+            let mut b = et_graph::GraphBuilder::new(N as usize);
+            let noise = et_gen::cases::id_pairs(rng, size, N, 8..1200);
+            let spread = [(0, N / 2), (0, N - 1), (N / 2, N - 1)];
+            for (u, v) in noise.into_iter().chain(spread) {
+                if u != v {
+                    b.add_edge(u, v);
+                }
+            }
+            let eg = EdgeIndexedGraph::new(b.build());
+            let tau = decompose_serial(&eg).trussness;
+            let idx = build_original(&eg, &tau);
+            let h = TrussHierarchy::build(&idx);
+            let kmax = tau.iter().copied().max().unwrap_or(3);
+            for q in 0..N {
+                for k in 3..=kmax + 1 {
+                    let fast = query_checked(&eg, &idx, &h, q, k);
+                    let brute = brute_force_communities(&eg, &tau, q, k);
+                    let edges: Vec<_> = fast.iter().map(|c| c.edges.clone()).collect();
+                    assert_eq!(edges, brute, "hierarchy vs brute force at q={q} k={k}");
+                    for c in &fast {
+                        let ends = |&e: &EdgeId| <[u32; 2]>::from(eg.endpoints(e));
+                        let mut want: Vec<_> = c.edges.iter().flat_map(ends).collect();
+                        want.sort_unstable();
+                        want.dedup();
+                        assert_eq!(c.vertices(&eg), want, "vertices at q={q} k={k}");
+                    }
+                    assert!(with_scratch(|s| s.bitmap_is_clear()), "q={q} k={k}");
+                }
+            }
+        });
     }
 
     #[test]

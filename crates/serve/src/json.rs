@@ -1,20 +1,47 @@
 //! Tiny JSON writer.
 //!
 //! Responses are built with a two-type builder ([`Obj`]/[`Arr`]) instead of
-//! a `Value` tree: the hot `/query` path renders straight into one `String`
-//! with no intermediate allocations. String escaping, and the strict reader
-//! the `/batch` body goes through, are `et_obs::json` — the workspace's one
-//! JSON module.
+//! a `Value` tree: numbers are formatted into the buffer itself (no `String`
+//! per integer), and a large array — the vertex lists of `/query?members=1`
+//! — is rendered in place by [`Obj::with`] instead of being built aside and
+//! copied in. String escaping, and the strict reader the `/batch` body goes
+//! through, are `et_obs::json` — the workspace's one JSON module.
 
 pub use et_obs::json::escape_into;
 use et_obs::json::quote_into;
+use std::fmt::Write;
+
+fn push_u64(out: &mut String, v: u64) {
+    write!(out, "{v}").expect("writing to a String cannot fail");
+}
 
 fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        out.push_str(&format!("{v}"));
+        write!(out, "{v}").expect("writing to a String cannot fail");
     } else {
         out.push_str("null");
     }
+}
+
+/// Appends a JSON array to `out`, each element written by `render`.
+pub fn push_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut render: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        render(out, item);
+    }
+    out.push(']');
+}
+
+/// Appends a slice of integers to `out` as a JSON array.
+pub fn push_u32_array(out: &mut String, values: &[u32]) {
+    push_array(out, values, |out, &v| push_u64(out, u64::from(v)));
 }
 
 /// Builds a JSON object field by field.
@@ -55,10 +82,18 @@ impl Obj {
         self
     }
 
+    /// A field whose value `render` writes straight into the object's
+    /// buffer; it must append exactly one JSON value.
+    pub fn with(mut self, key: &str, render: impl FnOnce(&mut String)) -> Self {
+        self.key(key);
+        render(&mut self.buf);
+        self
+    }
+
     /// An unsigned integer field.
     pub fn u64(mut self, key: &str, v: u64) -> Self {
         self.key(key);
-        self.buf.push_str(&v.to_string());
+        push_u64(&mut self.buf, v);
         self
     }
 
@@ -87,7 +122,7 @@ impl Obj {
     pub fn u64_opt(mut self, key: &str, v: Option<u64>) -> Self {
         self.key(key);
         match v {
-            Some(v) => self.buf.push_str(&v.to_string()),
+            Some(v) => push_u64(&mut self.buf, v),
             None => self.buf.push_str("null"),
         }
         self
@@ -139,7 +174,7 @@ impl Arr {
     /// Appends an unsigned integer.
     pub fn u64(&mut self, v: u64) -> &mut Self {
         self.sep();
-        self.buf.push_str(&v.to_string());
+        push_u64(&mut self.buf, v);
         self
     }
 
@@ -149,15 +184,6 @@ impl Arr {
         buf.push(']');
         buf
     }
-}
-
-/// Renders a slice of integers as a JSON array.
-pub fn u32_array(values: &[u32]) -> String {
-    let mut arr = Arr::new();
-    for &v in values {
-        arr.u64(u64::from(v));
-    }
-    arr.end()
 }
 
 #[cfg(test)]
@@ -197,7 +223,9 @@ mod tests {
     fn empty_containers() {
         assert_eq!(Obj::new().end(), "{}");
         assert_eq!(Arr::new().end(), "[]");
-        assert_eq!(u32_array(&[]), "[]");
-        assert_eq!(u32_array(&[3, 1]), "[3,1]");
+        let mut out = String::new();
+        push_u32_array(&mut out, &[]);
+        push_u32_array(&mut out, &[3, 1]);
+        assert_eq!(out, "[][3,1]");
     }
 }

@@ -8,8 +8,8 @@
 //! | endpoint   | method | answer                                            |
 //! |------------|--------|---------------------------------------------------|
 //! | `/query`   | GET    | communities of `v` at level `k` (sizes, optional members) |
-//! | `/edge`    | GET    | the community containing edge `(u, v)` at level `k` |
-//! | `/batch`   | POST   | many `(v, k)` queries via `batch_query_communities` |
+//! | `/edge`    | GET    | size of the community containing edge `(u, v)` at level `k` |
+//! | `/batch`   | POST   | community counts and sizes of many `(v, k)` queries |
 //! | `/stats`   | GET    | index shape + serving counters + latency percentiles |
 //! | `/healthz` | GET    | liveness + current index epoch                    |
 //! | `/reload`  | POST   | re-read the graph/`.etidx` pair and publish it    |
@@ -20,6 +20,11 @@
 //! lock. A bounded [`Lru`] caches rendered bodies for hot `(vertex, k)`
 //! pairs; entries are epoch-stamped so a stale answer can never survive a
 //! publish. Every request is traced through `et-obs` when tracing is on.
+//!
+//! No endpoint builds an answer it does not print: `/query`, `/edge` and
+//! `/batch` report sizes from hierarchy climbs and per-node aggregates, and
+//! `/query?members=1` — the one body that lists members — marks endpoints
+//! straight off the community's leaf slices and renders them in place.
 
 #![warn(missing_docs)]
 
@@ -34,7 +39,7 @@ pub use state::ServeState;
 pub use swap::{Snapshot, Swap};
 
 use et_community::{
-    batch_query_communities, community_of_edge, community_stats, query_communities,
+    batch_community_stats, community_stats, community_vertices, edge_community_stats,
 };
 use et_graph::Backend;
 use et_obs::json::Value;
@@ -247,12 +252,12 @@ fn handle_query(shared: &SharedIndex, state: &ServeState, req: &Request) -> (u16
         .u64("communities", stats.len() as u64)
         .raw("stats", &stats_arr.end());
     if members {
-        let communities = query_communities(&state.graph, &state.index, &state.hierarchy, v, k);
-        let mut members_arr = Arr::new();
-        for c in &communities {
-            members_arr.raw(&json::u32_array(&c.vertices(&state.graph)));
-        }
-        doc = doc.raw("members", &members_arr.end());
+        let vertices = community_vertices(&state.graph, &state.index, &state.hierarchy, v, k);
+        doc = doc.with("members", |out| {
+            json::push_array(out, &vertices, |out, community| {
+                json::push_u32_array(out, community)
+            })
+        });
     }
     let body = Arc::new(doc.end());
     shared.cache_put(key, state.epoch, Arc::clone(&body));
@@ -275,11 +280,11 @@ fn handle_edge(state: &ServeState, req: &Request) -> (u16, String) {
         .u64("u", u64::from(u))
         .u64("v", u64::from(v))
         .u64("k", u64::from(k));
-    let body = match community_of_edge(&state.graph, &state.index, &state.hierarchy, e, k) {
-        Some(c) => base
+    let body = match edge_community_stats(&state.graph, &state.index, &state.hierarchy, e, k) {
+        Some(stats) => base
             .bool("found", true)
-            .u64("supernodes", c.supernodes.len() as u64)
-            .u64("edges", c.edges.len() as u64)
+            .u64("supernodes", u64::from(stats.supernodes))
+            .u64("edges", stats.edges)
             .end(),
         None => base.bool("found", false).end(),
     };
@@ -329,16 +334,13 @@ fn handle_batch(shared: &SharedIndex, state: &ServeState, req: &Request) -> (u16
     if et_obs::enabled() {
         et_obs::record_value("serve.batch_size", queries.len() as u64);
     }
-    let results = batch_query_communities(&state.graph, &state.index, &state.hierarchy, &queries);
+    let results = batch_community_stats(&state.graph, &state.index, &state.hierarchy, &queries);
     let mut rows = Arr::new();
-    for cs in &results {
+    for stats in &results {
         rows.raw(
             &Obj::new()
-                .u64("communities", cs.len() as u64)
-                .u64(
-                    "edges",
-                    cs.iter().map(|c| c.edges.len() as u64).sum::<u64>(),
-                )
+                .u64("communities", stats.len() as u64)
+                .u64("edges", stats.iter().map(|s| s.edges).sum::<u64>())
                 .end(),
         );
     }

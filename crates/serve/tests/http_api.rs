@@ -2,6 +2,9 @@
 //! endpoint, the error paths, cache behavior, and `/reload` from on-disk
 //! files.
 
+use et_community::{
+    batch_query_communities, community_of_edge, community_stats, query_communities,
+};
 use et_core::{build_index, Variant};
 use et_graph::{EdgeIndexedGraph, GraphBuilder};
 use et_obs::json::{self, Value};
@@ -40,8 +43,9 @@ fn start_server(state: ServeState, cache: usize, reload: Option<ReloadSpec>) -> 
     Server::start(shared, &config).expect("server binds")
 }
 
-/// One-shot request over a fresh connection (`Connection: close`).
-fn request(addr: SocketAddr, method: &str, target: &str, body: Option<&str>) -> (u16, Value) {
+/// One-shot request over a fresh connection (`Connection: close`); the body
+/// as the server wrote it.
+fn request_raw(addr: SocketAddr, method: &str, target: &str, body: Option<&str>) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     let mut req = format!("{method} {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n");
     match body {
@@ -62,8 +66,139 @@ fn request(addr: SocketAddr, method: &str, target: &str, body: Option<&str>) -> 
         .split_once("\r\n\r\n")
         .map(|(_, b)| b)
         .unwrap_or_default();
-    let value = json::parse(payload).unwrap_or_else(|e| panic!("bad body {payload:?}: {e}"));
+    (status, payload.to_string())
+}
+
+/// [`request_raw`] with the body parsed.
+fn request(addr: SocketAddr, method: &str, target: &str, body: Option<&str>) -> (u16, Value) {
+    let (status, payload) = request_raw(addr, method, target, body);
+    let value = json::parse(&payload).unwrap_or_else(|e| panic!("bad body {payload:?}: {e}"));
     (status, value)
+}
+
+fn join<T: ToString>(items: impl IntoIterator<Item = T>) -> String {
+    let items: Vec<String> = items.into_iter().map(|item| item.to_string()).collect();
+    items.join(",")
+}
+
+/// `/edge`, `/batch` and `/query?members=1` answer from hierarchy aggregates
+/// and leaf slices; every body must be, byte for byte, the one rendered here
+/// from the library calls that materialize the communities.
+fn check_bodies_against_materialized_answers(state: ServeState) {
+    let server = start_server(state, 0, None);
+    let addr = server.local_addr();
+    let (state, _) = server.shared().swap().load();
+    let (graph, index, hierarchy) = (&state.graph, &state.index, &state.hierarchy);
+    let kmax = index.sn_trussness.iter().copied().max().unwrap_or(3);
+    let levels = 2..=kmax + 1;
+
+    for (e, u, v) in graph.edges() {
+        for k in levels.clone() {
+            let found = match community_of_edge(graph, index, hierarchy, e, k) {
+                Some(c) => {
+                    let (supernodes, edges) = (c.supernodes.len(), c.edges.len());
+                    format!(r#""found":true,"supernodes":{supernodes},"edges":{edges}"#)
+                }
+                None => r#""found":false"#.to_string(),
+            };
+            let want = format!(r#"{{"epoch":1,"u":{u},"v":{v},"k":{k},{found}}}"#);
+            let (status, got) = request_raw(addr, "GET", &format!("/edge?u={u}&v={v}&k={k}"), None);
+            assert_eq!((status, got), (200, want));
+        }
+    }
+
+    let mut pairs = Vec::new();
+    for q in 0..graph.num_vertices() as u32 + 1 {
+        for k in levels.clone() {
+            pairs.push((q, k));
+            let answer = query_communities(graph, index, hierarchy, q, k);
+            // `stats` is in hierarchy-node order, which no materialized answer
+            // carries; its sizes must be the answer's sizes.
+            let stats = community_stats(graph, index, hierarchy, q, k);
+            let mut sizes: Vec<_> = stats
+                .iter()
+                .map(|s| (s.supernodes as usize, s.edges as usize))
+                .collect();
+            sizes.sort_unstable();
+            let mut want_sizes: Vec<_> = answer
+                .iter()
+                .map(|c| (c.supernodes.len(), c.edges.len()))
+                .collect();
+            want_sizes.sort_unstable();
+            assert_eq!(sizes, want_sizes, "q={q} k={k}");
+            let stats = join(
+                stats
+                    .iter()
+                    .map(|s| format!(r#"{{"supernodes":{},"edges":{}}}"#, s.supernodes, s.edges)),
+            );
+            let members = join(
+                answer
+                    .iter()
+                    .map(|c| format!("[{}]", join(c.vertices(graph)))),
+            );
+            let want = format!(
+                r#"{{"epoch":1,"v":{q},"k":{k},"communities":{},"stats":[{stats}],"members":[{members}]}}"#,
+                answer.len()
+            );
+            let target = format!("/query?v={q}&k={k}&members=1");
+            assert_eq!(request_raw(addr, "GET", &target, None), (200, want));
+        }
+    }
+
+    let answers = batch_query_communities(graph, index, hierarchy, &pairs);
+    let rows = join(answers.iter().map(|cs| {
+        let edges: usize = cs.iter().map(|c| c.edges.len()).sum();
+        format!(r#"{{"communities":{},"edges":{edges}}}"#, cs.len())
+    }));
+    let want = format!(r#"{{"epoch":1,"results":[{rows}]}}"#);
+    let body = format!(
+        r#"{{"queries": [{}]}}"#,
+        join(pairs.iter().map(|(q, k)| format!("[{q}, {k}]")))
+    );
+    assert_eq!(
+        request_raw(addr, "POST", "/batch", Some(&body)),
+        (200, want)
+    );
+    server.stop();
+}
+
+#[test]
+fn aggregate_bodies_equal_materialized_bodies_on_the_fixture() {
+    check_bodies_against_materialized_answers(fixture_state());
+}
+
+/// The same on a collaboration graph with overlapping communities, loaded
+/// from disk through each storage backend.
+#[test]
+fn aggregate_bodies_equal_materialized_bodies_on_a_collaboration_graph() {
+    let dir = std::env::temp_dir().join(format!("et-serve-bodies-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tempdir");
+    let (graph_path, index_path) = (dir.join("g.bin"), dir.join("g.etidx"));
+    let csr = et_gen::overlapping_cliques(60, 24, (3, 6), 20, 5);
+    et_graph::io::write_binary(&csr, &graph_path).expect("write graph");
+    let graph = EdgeIndexedGraph::new(csr);
+    let decomposition = et_truss::decompose_parallel(&graph);
+    let build = build_index(&graph, Variant::Afforest);
+    let overlap = (3..=decomposition.max_trussness).any(|k| {
+        let counts = et_community::membership_counts(&graph, &build.index, &build.hierarchy, k);
+        counts.iter().any(|&count| count >= 2)
+    });
+    assert!(
+        overlap,
+        "some vertex must sit in two communities, or `members` has no order to get wrong"
+    );
+    et_core::io::write_index_with_hierarchy(
+        &build.index,
+        &decomposition.trussness,
+        &build.hierarchy,
+        &index_path,
+    )
+    .expect("write index");
+    for backend in [et_graph::Backend::Owned, et_graph::Backend::Mapped] {
+        let state = ServeState::load(&graph_path, &index_path, backend).expect("load");
+        check_bodies_against_materialized_answers(state);
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

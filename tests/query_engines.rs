@@ -6,8 +6,8 @@
 
 use parallel_equitruss::community::scratch::with_scratch;
 use parallel_equitruss::community::{
-    batch_query_communities, community_stats, count_communities, ground_truth, membership_counts,
-    query_communities, query_communities_bfs,
+    batch_query_communities, community_stats, community_vertices, count_communities, ground_truth,
+    membership_counts, query_communities, query_communities_bfs,
 };
 use parallel_equitruss::equitruss::{build_index, Variant};
 use parallel_equitruss::gen as et_gen;
@@ -189,18 +189,26 @@ fn steady_state_queries_do_not_allocate_tracking_state() {
     let built = build_index(&eg, Variant::Afforest);
 
     // Warm this thread's scratch: one query of each engine sizes the stamp
-    // array for this index.
-    query_communities(&eg, &built.index, &built.hierarchy, 0, 3);
-    query_communities_bfs(&eg, &built.index, 0, 3);
-    let (resizes_before, capacity) = with_scratch(|s| (s.resizes, s.capacity()));
+    // array for this index, and the first non-empty answer sizes the bitmap
+    // its ids are ordered in.
+    let warm = (0..eg.num_vertices() as u32)
+        .find(|&q| !query_communities(&eg, &built.index, &built.hierarchy, q, 3).is_empty())
+        .expect("some vertex has a 3-truss community");
+    query_communities_bfs(&eg, &built.index, warm, 3);
+    let (resizes_before, capacity, bitmap) =
+        with_scratch(|s| (s.resizes, s.capacity(), s.bitmap_capacity()));
     assert!(capacity >= built.index.num_supernodes());
+    assert!(bitmap >= eg.num_edges());
 
     // Steady state: hundreds of queries across engines and k levels on the
-    // same thread must not grow the stamp array (u32-epoch invalidation
-    // replaces clearing, and queue/reps keep their capacity).
+    // same thread must grow neither the stamp array (u32-epoch invalidation
+    // replaces clearing, and queue/reps keep their capacity) nor the bitmap
+    // (the scan leaves it all-zero) — edge, supernode and vertex ids alike.
     let mut total = 0usize;
     for q in 0..eg.num_vertices() as u32 {
-        total += query_communities(&eg, &built.index, &built.hierarchy, q, 4).len();
+        let answer = query_communities(&eg, &built.index, &built.hierarchy, q, 4);
+        total += answer.iter().map(|c| c.vertices(&eg).len()).sum::<usize>();
+        total += community_vertices(&eg, &built.index, &built.hierarchy, q, 3).len();
         total += query_communities_bfs(&eg, &built.index, q, 4).len();
         total += count_communities(&eg, &built.index, &built.hierarchy, q, 3);
     }
