@@ -4,10 +4,10 @@
 //!
 //! Paper shape: SpNode dominates at 79–89% of the construction time.
 
-use super::{fig4_total, Opts};
+use super::{build_from_identity, fig4_total, Opts};
 use crate::datasets::{dataset, FIG4_ORDER};
 use crate::Report;
-use et_core::{build_index, Variant};
+use et_core::Variant;
 
 /// Runs the experiment and returns the report.
 pub fn run(opts: &Opts) -> Report {
@@ -29,7 +29,7 @@ pub fn run(opts: &Opts) -> Report {
 
     for name in FIG4_ORDER {
         let graph = dataset(name, opts.scale);
-        let timings = crate::with_threads(1, || build_index(&graph, Variant::Baseline).timings);
+        let timings = crate::with_threads(1, || build_from_identity(&graph, Variant::Baseline).1);
         report.attach_timings(format!("{name}/baseline/t1"), timings);
         let total = fig4_total(&timings);
         let pct = |d: std::time::Duration| {

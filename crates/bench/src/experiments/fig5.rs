@@ -3,10 +3,10 @@
 //!
 //! Paper shape (Orkut): C-Opt ≈ 2×, Afforest ≈ 4.1× over Baseline.
 
-use super::Opts;
+use super::{build_from_identity, Opts};
 use crate::datasets::{dataset, FIG4_ORDER};
 use crate::Report;
-use et_core::{build_index, Variant};
+use et_core::Variant;
 use std::time::Duration;
 
 /// Runs the experiment and returns the report.
@@ -28,7 +28,7 @@ pub fn run(opts: &Opts) -> Report {
     for name in FIG4_ORDER {
         let graph = dataset(name, opts.scale);
         let spnode = |variant: Variant| -> Duration {
-            crate::with_threads(1, || build_index(&graph, variant).timings.spnode)
+            crate::with_threads(1, || build_from_identity(&graph, variant).1.spnode)
         };
         let base = spnode(Variant::Baseline);
         let copt = spnode(Variant::COptimal);

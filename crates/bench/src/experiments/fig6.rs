@@ -2,10 +2,10 @@
 //! total) over the thread sweep, for all three designs on the three
 //! scaling networks.
 
-use super::{fig4_total, Opts};
+use super::{build_from_identity, fig4_total, Opts};
 use crate::datasets::{dataset, SCALING_THREE};
 use crate::Report;
-use et_core::{build_index, Variant};
+use et_core::Variant;
 
 /// Runs the experiment and returns one combined report (one row per
 /// network × variant, one column per thread count).
@@ -28,7 +28,7 @@ pub fn run(opts: &Opts) -> Report {
             let mut row = vec![name.to_string(), variant.name().to_string()];
             for &t in &opts.threads {
                 let total =
-                    crate::with_threads(t, || fig4_total(&build_index(&graph, variant).timings));
+                    crate::with_threads(t, || fig4_total(&build_from_identity(&graph, variant).1));
                 row.push(crate::report::fmt_duration(total));
             }
             report.push_row(row);

@@ -2,10 +2,10 @@
 //! (Friendster analog), C-Optimal vs Afforest only (the paper could not even
 //! run Baseline within the 12-hour node limit).
 
-use super::Opts;
+use super::{build_from_identity, Opts};
 use crate::datasets::dataset;
 use crate::Report;
-use et_core::{build_index, Variant};
+use et_core::Variant;
 
 /// Runs the experiment and returns the report.
 pub fn run(opts: &Opts) -> Report {
@@ -23,7 +23,7 @@ pub fn run(opts: &Opts) -> Report {
     for variant in [Variant::COptimal, Variant::Afforest] {
         let mut row = vec![format!("SpNode ({})", variant.name())];
         for &t in &opts.threads {
-            let spnode = crate::with_threads(t, || build_index(&graph, variant).timings.spnode);
+            let spnode = crate::with_threads(t, || build_from_identity(&graph, variant).1.spnode);
             row.push(crate::report::fmt_duration(spnode));
         }
         report.push_row(row);

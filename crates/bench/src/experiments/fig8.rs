@@ -1,10 +1,10 @@
 //! Figure 8 — timing breakdown of the three major kernels (SpNode, SpEdge,
 //! SmGraph) per design, at increasing thread counts (paper: 1, 8, 32, 128).
 
-use super::Opts;
+use super::{build_from_identity, Opts};
 use crate::datasets::dataset;
 use crate::Report;
-use et_core::{build_index, Variant};
+use et_core::Variant;
 
 /// Networks shown in Fig. 8.
 const NETWORKS: [&str; 2] = ["orkut", "livejournal"];
@@ -38,7 +38,7 @@ pub fn run(opts: &Opts) -> Report {
         let graph = dataset(name, opts.scale);
         for &t in &picks {
             for variant in Variant::ALL {
-                let timings = crate::with_threads(t, || build_index(&graph, variant).timings);
+                let timings = crate::with_threads(t, || build_from_identity(&graph, variant).1);
                 report.attach_timings(format!("{name}/{}/t{t}", variant.name()), timings);
                 report.push_row(vec![
                     name.to_string(),

@@ -1,10 +1,10 @@
 //! Figure 9 — parallel efficiency ε = T_seq / (p · T_p), per design and
 //! thread count, on the three scaling networks.
 
-use super::{fig4_total, Opts};
+use super::{build_from_identity, fig4_total, Opts};
 use crate::datasets::{dataset, SCALING_THREE};
 use crate::Report;
-use et_core::{build_index, Variant};
+use et_core::Variant;
 use std::time::Duration;
 
 /// Runs the experiment and returns the report.
@@ -23,7 +23,7 @@ pub fn run(opts: &Opts) -> Report {
         let graph = dataset(name, opts.scale);
         for variant in Variant::ALL {
             let measure = |t: usize| -> Duration {
-                crate::with_threads(t, || fig4_total(&build_index(&graph, variant).timings))
+                crate::with_threads(t, || fig4_total(&build_from_identity(&graph, variant).1))
             };
             let t_seq = measure(1);
             let mut row = vec![name.to_string(), variant.name().to_string()];

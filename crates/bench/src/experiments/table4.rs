@@ -7,10 +7,10 @@
 //! strictly less work than one SV round-loop), the gap narrows through
 //! C-Optimal to Afforest.
 
-use super::Opts;
+use super::{build_from_identity, Opts};
 use crate::datasets::{dataset, CORE_FOUR};
 use crate::Report;
-use et_core::{build_index, build_original, Variant};
+use et_core::{build_original, Variant};
 use std::time::Instant;
 
 /// Runs the experiment and returns the report.
@@ -32,7 +32,7 @@ pub fn run(opts: &Opts) -> Report {
         let graph = dataset(name, opts.scale);
         let construction = |variant: Variant| {
             crate::with_threads(1, || {
-                build_index(&graph, variant).timings.index_construction()
+                build_from_identity(&graph, variant).1.index_construction()
             })
         };
         let base = construction(Variant::Baseline);

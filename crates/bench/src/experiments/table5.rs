@@ -2,10 +2,10 @@
 //! 1-thread vs max-thread construction times with speedups, for all three
 //! parallel designs.
 
-use super::{fig4_total, Opts};
+use super::{build_from_identity, fig4_total, Opts};
 use crate::datasets::{dataset, TABLE5_FIVE};
 use crate::Report;
-use et_core::{build_index, Variant};
+use et_core::Variant;
 use std::time::Duration;
 
 /// Runs the experiment and returns the report.
@@ -38,11 +38,11 @@ pub fn run(opts: &Opts) -> Report {
         for variant in Variant::ALL {
             let run_at = |t: usize| -> (Duration, usize, usize) {
                 crate::with_threads(t, || {
-                    let b = build_index(&graph, variant);
+                    let (index, timings) = build_from_identity(&graph, variant);
                     (
-                        fig4_total(&b.timings),
-                        b.index.num_supernodes(),
-                        b.index.num_superedges(),
+                        fig4_total(&timings),
+                        index.num_supernodes(),
+                        index.num_superedges(),
                     )
                 })
             };

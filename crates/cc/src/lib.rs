@@ -4,7 +4,9 @@
 //! a connected-components problem over edge entities. This crate provides
 //! what the edge-CC variants in `et-core` build on:
 //!
-//! * [`dsu`] — sequential and atomic (lock-free) union-find.
+//! * [`dsu`] — sequential and atomic (lock-free) union-find. [`atomic_link`]
+//!   is also what `et-truss`'s peel hooks supernodes with, triangle by
+//!   triangle, as it peels.
 //! * [`engine`] — the shared **edge-CC engine**: Shiloach–Vishkin (reference
 //!   \[39\], the paper's *Baseline* and *C-Optimal*) and Afforest (Sutton,
 //!   Ben-Nun & Barak, IPDPS 2018; reference \[43\], the paper's best

@@ -31,7 +31,8 @@ impl CommunityIndex {
         });
         CommunityIndex {
             graph,
-            decomposition,
+            // The index is built: the peel's forest has served.
+            decomposition: TrussDecomposition::new(decomposition.trussness),
             supergraph,
             hierarchy,
         }

@@ -21,6 +21,13 @@
 //! of `bench_e2e`'s `social-build`, the sampled giants cover 8.4 % of the
 //! indexed edges). The `afforest.giant_skips` / `afforest.finish_edges`
 //! counters report the split per build.
+//!
+//! The pipeline runs this on a decomposition that carries no supernode
+//! forest (`decompose_serial`, `TrussDecomposition::new`). One that comes
+//! from the parallel peel does: the peel linked every same-k partner it
+//! walked past, which is this algorithm with the sample complete and the
+//! finish left nothing to do, so [`crate::pipeline::Variant::Afforest`]
+//! borrows that Π instead ([`crate::build_index_with_decomposition`]).
 
 use crate::engine::CsrTriangleView;
 use et_cc::engine::{afforest_edge_components, AfforestPolicy};
@@ -76,7 +83,7 @@ pub fn spnode_group_afforest(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coptimal::spnode_group_coptimal;
+    use crate::coptimal::tests::run_coptimal;
     use crate::phi::PhiGroups;
     use et_graph::EdgeIndexedGraph;
     use et_truss::decompose_serial;
@@ -86,15 +93,6 @@ mod tests {
         let parent: Vec<AtomicU32> = (0..eg.num_edges() as u32).map(AtomicU32::new).collect();
         for (k, group) in phi.iter() {
             spnode_group_afforest(&RowView::of(eg), tau, k, group, &parent, cfg);
-        }
-        parent.into_iter().map(|a| a.into_inner()).collect()
-    }
-
-    fn run_coptimal(eg: &EdgeIndexedGraph, tau: &[u32]) -> Vec<u32> {
-        let phi = PhiGroups::build(tau);
-        let parent: Vec<AtomicU32> = (0..eg.num_edges() as u32).map(AtomicU32::new).collect();
-        for (k, group) in phi.iter() {
-            spnode_group_coptimal(&RowView::of(eg), tau, k, group, &parent);
         }
         parent.into_iter().map(|a| a.into_inner()).collect()
     }

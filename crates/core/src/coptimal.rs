@@ -31,14 +31,16 @@ pub fn spnode_group_coptimal(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::baseline::{spnode_group_baseline, EdgeDict};
     use crate::phi::PhiGroups;
     use et_graph::EdgeIndexedGraph;
     use et_truss::decompose_serial;
 
-    fn run_coptimal(eg: &EdgeIndexedGraph, tau: &[u32]) -> Vec<u32> {
+    /// Π after C-Optimal SpNode over every Φ_k group, frozen — the
+    /// partition the other constructions' tests compare with.
+    pub(crate) fn run_coptimal(eg: &EdgeIndexedGraph, tau: &[u32]) -> Vec<u32> {
         let phi = PhiGroups::build(tau);
         let parent: Vec<AtomicU32> = (0..eg.num_edges() as u32).map(AtomicU32::new).collect();
         for (k, group) in phi.iter() {

@@ -20,7 +20,10 @@
 //! engine ([`et_cc::engine`]): [`engine`] supplies the per-variant edge-id
 //! resolution views ([`engine::DictTriangleView`], [`engine::CsrTriangleView`])
 //! and the [`engine::spnode_group`] dispatcher, which the pipeline schedules
-//! as one parallel wave over all Φ_k groups.
+//! as one parallel wave over all Φ_k groups — unless the decomposition comes
+//! from the parallel peel, which builds the supernode forest on its way
+//! (`et_truss::TrussDecomposition::forest`): the Afforest variant, the
+//! default of every build, then borrows Π from it and skips the wave.
 //!
 //! All four produce canonically identical indexes (the paper reports 100%
 //! accuracy agreement); [`validate`] checks this plus the definitional

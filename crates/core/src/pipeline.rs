@@ -14,6 +14,13 @@
 //! rayon pool saturated across the many tiny high-k groups that starve a
 //! per-k loop; [`crate::original::build_original`] is the serial reference
 //! every variant is compared with.
+//!
+//! The first wave is skipped when its result is already there: the parallel
+//! peel links same-k triangle partners as it meets them and hands the
+//! finished partition over in [`TrussDecomposition::forest`], which
+//! [`Variant::Afforest`] — the default — borrows as Π
+//! ([`build_index_with_decomposition`]). Once SpNode is over, by either route,
+//! Π is frozen: SpEdge and remap read it as `&[u32]`.
 
 use crate::baseline::EdgeDict;
 use crate::engine::{spnode_group, TrussRowViews};
@@ -22,7 +29,7 @@ use crate::index::SuperGraph;
 use crate::phi::PhiGroups;
 use crate::smgraph::merge_supergraph;
 use crate::spedge::spedge_triangle_once;
-use crate::timings::{timed_phase, Kernel, KernelTimings};
+use crate::timings::{timed_phase, timed_span, Kernel, KernelTimings};
 use et_graph::{EdgeId, EdgeIndexedGraph, ShapeStats};
 use et_truss::TrussDecomposition;
 use rayon::prelude::*;
@@ -192,6 +199,17 @@ pub fn build_index_with_options(
 
 /// Index construction given a precomputed trussness dictionary; kernel times
 /// are *added* to `timings` (Support/TrussDecomp slots untouched).
+///
+/// SpNode computes one thing, the partition of the edges into supernodes,
+/// and a decomposition that comes from the parallel peel already carries it
+/// ([`TrussDecomposition::forest`]). Under [`Variant::Afforest`] — the
+/// variant whose sample-then-finish this completes: the sample is whole and
+/// the finish has nothing to do — Π is *borrowed* from it, and no row view
+/// is built and no SpNode group runs. [`Variant::Baseline`],
+/// [`Variant::COptimal`] and any decomposition without a forest
+/// (`decompose_serial`, `TrussDecomposition::new`) run Algorithm 2 from
+/// Π = identity. Both give the same roots (the smallest edge id of each
+/// supernode), so the index is the same either way.
 pub fn build_index_with_decomposition(
     graph: &EdgeIndexedGraph,
     decomposition: &TrussDecomposition,
@@ -200,11 +218,30 @@ pub fn build_index_with_decomposition(
 ) -> SuperGraph {
     let m = graph.num_edges();
     let tau = &decomposition.trussness;
+    let forest = match variant {
+        Variant::Afforest => decomposition.forest(),
+        Variant::Baseline | Variant::COptimal => None,
+    };
+    // No SpNode run stands behind a borrowed Π: a forest of another graph,
+    // or of a `trussness` edited since the peel, must not get through.
+    if let Some(forest) = forest {
+        assert_eq!(forest.len(), m, "the forest is not this graph's");
+        debug_assert!(
+            forest
+                .iter()
+                .zip(tau)
+                .all(|(&root, &k)| tau[root as usize] == k),
+            "trussness changed since the peel built the forest"
+        );
+    }
 
-    // Init kernel: Π ← identity (Algorithm 2 ln. 1–2), Φ_k grouping
-    // (ln. 3–5), and the Baseline's dictionary when needed.
+    // Init kernel: Π ← identity (Algorithm 2 ln. 1–2) unless the peel
+    // brought it, Φ_k grouping (ln. 3–5), and the Baseline's dictionary when
+    // needed.
     let (parent, phi, dict) = timed_phase(timings, Kernel::Init, "Init", || {
-        let parent: Vec<AtomicU32> = (0..m as u32).map(AtomicU32::new).collect();
+        let parent = forest
+            .is_none()
+            .then(|| (0..m as u32).map(AtomicU32::new).collect::<Vec<_>>());
         let phi = PhiGroups::build(tau);
         let dict = match variant {
             Variant::Baseline => Some(EdgeDict::build(graph)),
@@ -225,8 +262,11 @@ pub fn build_index_with_decomposition(
     // Wave 1: every SpNode group concurrently. Groups are mutually
     // independent — hooking only links same-k edges and Π entries of Φ_k
     // cells never reference other groups — so the nested par_iters just feed
-    // one work-stealing pool.
-    timed_phase(timings, Kernel::SpNode, "SpNodeWave", || {
+    // one work-stealing pool. With the peel's forest in hand the slot stays
+    // (it closes empty) and says so.
+    let spnode_span = et_obs::span("SpNodeWave").arg("from_peel", u64::from(forest.is_some()));
+    let built: Option<Vec<u32>> = timed_span(timings, Kernel::SpNode, spnode_span, || {
+        let parent = parent?;
         // SpNode's rows: the graph's, then τ ≥ k views as the groups thin
         // out, built inside this slot (the views are SpNode's cost) and
         // dropped with it. The Baseline reads the graph's rows through its
@@ -243,17 +283,22 @@ pub fn build_index_with_decomposition(
             let _span = et_obs::span("SpNode").arg("k", u64::from(k));
             spnode_group(&rows, dict.as_ref(), k, group, &parent, variant);
         });
+        // The par_iter above completes only when every group's Π is
+        // finalized (roots fully shortcut/compressed): from here on Π is
+        // frozen, and plain words (converted in place, nothing copied).
+        Some(parent.into_iter().map(AtomicU32::into_inner).collect())
     });
-
-    // Barrier: the par_iter above completes only when every group's Π is
-    // finalized (roots fully shortcut/compressed).
+    let parent: &[u32] = built
+        .as_deref()
+        .or(forest)
+        .expect("Π is built here exactly when the peel brought none");
 
     // Wave 2: one triangle-once pass over the whole graph. Each triangle is
     // seen from its pivot edge with all three trussness values in hand and
     // reads the Π roots of all three edges — all finalized by wave 1. Subsets
     // arrive in pivot-range order, so the SmGraph input stays deterministic.
     let subsets = timed_phase(timings, Kernel::SpEdge, "SpEdgeWave", || {
-        spedge_triangle_once(graph, tau, &parent)
+        spedge_triangle_once(graph, tau, parent)
     });
 
     // SmGraph merge (Algorithm 4). Partition count is clamped to the number
@@ -265,7 +310,7 @@ pub fn build_index_with_decomposition(
 
     // Dense renumbering + assembly.
     timed_phase(timings, Kernel::SpNodeRemap, "SpNodeRemap", || {
-        crate::remap::remap_and_assemble(m, &parent, &merged, &phi)
+        crate::remap::remap_and_assemble(m, parent, &merged, &phi)
     })
 }
 
@@ -276,20 +321,47 @@ mod tests {
     use et_truss::decompose_serial;
     use std::sync::Arc;
 
+    /// Every variant equals serial Original at 1, 2, 4 and 8 threads, from
+    /// a decomposition without a forest (Algorithm 2 from identity) and from
+    /// the parallel peel's (Afforest borrows Π from it); and that forest is
+    /// the partition C-Optimal's SpNode computes.
     fn check_all_variants_match_original(graph: et_graph::CsrGraph, label: &str) {
         let eg = EdgeIndexedGraph::new(graph);
-        let tau = decompose_serial(&eg);
-        let reference = build_original(&eg, &tau.trussness).canonical();
-        for variant in Variant::ALL {
-            let mut t = KernelTimings::default();
-            let idx = build_index_with_decomposition(&eg, &tau, variant, &mut t);
-            idx.check_structure(&eg).unwrap();
-            assert_eq!(
-                idx.canonical(),
-                reference,
-                "{label}: {} disagrees with Original",
-                variant.name()
-            );
+        let serial = decompose_serial(&eg);
+        assert!(serial.forest().is_none());
+        let tau = &serial.trussness;
+        let reference = build_original(&eg, tau).canonical();
+        let coptimal = crate::coptimal::tests::run_coptimal(&eg, tau);
+        for threads in [1, 2, 4, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("test pool");
+            pool.install(|| {
+                let peeled = et_truss::decompose_parallel(&eg);
+                assert_eq!(peeled, serial, "{label} at {threads} threads");
+                let forest = peeled
+                    .forest()
+                    .expect("the parallel peel builds the forest");
+                assert!(
+                    et_cc::same_partition(forest, &coptimal),
+                    "{label} at {threads} threads: forest is not C-Optimal's Π"
+                );
+                for (decomposition, pi) in [(&serial, "identity"), (&peeled, "forest")] {
+                    for variant in Variant::ALL {
+                        let mut t = KernelTimings::default();
+                        let idx =
+                            build_index_with_decomposition(&eg, decomposition, variant, &mut t);
+                        idx.check_structure(&eg).unwrap();
+                        assert_eq!(
+                            idx.canonical(),
+                            reference,
+                            "{label} at {threads} threads: {} from {pi} disagrees with Original",
+                            variant.name()
+                        );
+                    }
+                }
+            });
         }
     }
 
@@ -313,6 +385,31 @@ mod tests {
             et_gen::overlapping_cliques(250, 50, (3, 8), 120, 11),
             "collab",
         );
+    }
+
+    /// The shapes the peel's links are most exposed on: nested cliques
+    /// compact the rows at every shell boundary (a link must still see the
+    /// arcs peeled earlier in its own level), a skewed R-MAT mixes pool and
+    /// calling-thread rounds, a mesh is one level and one supernode.
+    #[test]
+    fn variants_match_original_on_nested_skewed_and_mesh_graphs() {
+        let nested = et_gen::fixtures::nested_cliques(16, &[(50, 2), (20, 4), (10, 8)]);
+        check_all_variants_match_original(nested.graph, "nested cliques");
+        check_all_variants_match_original(
+            et_gen::rmat_with_cliques(et_gen::RmatConfig::graph500(10, 8, 13), 40, (4, 8)),
+            "rmat+cliques",
+        );
+        check_all_variants_match_original(et_gen::triangulated_grid(30), "grid");
+    }
+
+    #[test]
+    #[should_panic(expected = "the forest is not this graph's")]
+    fn a_forest_of_another_graph_is_refused() {
+        let peeled = EdgeIndexedGraph::new(et_gen::triangulated_grid(4));
+        let other = EdgeIndexedGraph::new(et_gen::triangulated_grid(5));
+        let decomposition = et_truss::decompose_parallel(&peeled);
+        let mut t = KernelTimings::default();
+        build_index_with_decomposition(&other, &decomposition, Variant::Afforest, &mut t);
     }
 
     #[test]

@@ -9,16 +9,17 @@
 use crate::index::{SuperGraph, NO_SUPERNODE};
 use crate::phi::PhiGroups;
 use crate::spedge::RootPair;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Renumbers Π roots densely and assembles the index.
 ///
-/// * `parent` — finalized Π (roots fully compressed within each Φ_k),
+/// * `parent` — finalized Π (roots fully compressed within each Φ_k): frozen
+///   once SpNode is over, so plain words — SpNode's own array or the forest
+///   borrowed from the peel,
 /// * `merged_superedges` — output of `smgraph::merge_supergraph`,
 /// * `phi` — the Φ_k grouping (provides the deterministic id order).
 pub(crate) fn remap_and_assemble(
     num_edges: usize,
-    parent: &[AtomicU32],
+    parent: &[u32],
     merged_superedges: &[RootPair],
     phi: &PhiGroups,
 ) -> SuperGraph {
@@ -30,7 +31,7 @@ pub(crate) fn remap_and_assemble(
 
     for (k, group) in phi.iter() {
         for &e in group {
-            let root = parent[e as usize].load(Ordering::Relaxed) as usize;
+            let root = parent[e as usize] as usize;
             let sn = if root_to_sn[root] == NO_SUPERNODE {
                 let id = sn_trussness.len() as u32;
                 sn_trussness.push(k);
@@ -65,10 +66,7 @@ mod tests {
     fn remap_assigns_chronological_ids() {
         // 6 edges: τ = [3,3,4,4,2,3]; components: {0,1}, {2,3}, {5}.
         let tau = vec![3u32, 3, 4, 4, 2, 3];
-        let parent: Vec<AtomicU32> = [0u32, 0, 2, 2, 4, 5]
-            .into_iter()
-            .map(AtomicU32::new)
-            .collect();
+        let parent = [0u32, 0, 2, 2, 4, 5];
         let phi = PhiGroups::build(&tau);
         let merged = vec![(0u32, 2u32)]; // superedge between the two groups
         let idx = remap_and_assemble(6, &parent, &merged, &phi);

@@ -4,7 +4,9 @@
 //! visited once, from its *pivot* edge (the edge between its two smallest
 //! vertices), with all three trussness values in hand, and emits the pairs
 //! Algorithm 3 would have emitted from its three visits. Needs Π final for
-//! *every* group, which the SpNode wave's barrier provides.
+//! *every* group — which the SpNode wave's barrier provides, or the peel
+//! that built the forest — and so reads it as plain `&[u32]`: nothing writes
+//! Π once SpNode is over.
 //!
 //! Algorithm 3 verbatim — for each edge e of a Φ_k set, every triangle
 //! through e is examined; when e's trussness k strictly exceeds the
@@ -22,7 +24,6 @@ use et_graph::{schedule, EdgeId, EdgeIndexedGraph};
 use et_triangle::for_each_pivot_triangle_of_edge;
 use rayon::prelude::*;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A superedge candidate: `(Π-root of the lower-trussness supernode,
 /// Π-root of the higher-trussness supernode)`. Roots are edge ids; the
@@ -49,7 +50,7 @@ const TASKS_PER_THREAD: usize = 8;
 pub fn spedge_triangle_once(
     graph: &EdgeIndexedGraph,
     trussness: &[u32],
-    parent: &[AtomicU32],
+    parent: &[u32],
 ) -> Vec<Vec<RootPair>> {
     let m = graph.num_edges();
     // Equal pivot counts, not equal estimated work: an estimate pass over
@@ -64,7 +65,7 @@ pub fn spedge_triangle_once(
         .map(|lo| lo..(lo + per).min(m))
         .collect();
     let wave = et_obs::wave("SpEdgeWave");
-    let root = |e: EdgeId| parent[e as usize].load(Ordering::Relaxed);
+    let root = |e: EdgeId| parent[e as usize];
     let subsets: Vec<Vec<RootPair>> = tasks
         .into_par_iter()
         .map(|range| {
@@ -139,12 +140,10 @@ fn record_subset_stats(subsets: &[Vec<RootPair>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coptimal::spnode_group_coptimal;
+    use crate::coptimal::tests::run_coptimal;
     use crate::phi::PhiGroups;
-    use et_graph::RowView;
     use et_triangle::for_each_triangle_of_edge;
     use et_truss::decompose_serial;
-
     /// Algorithm 3 for one Φ_k group, one subset per fold job appended to
     /// `subsets`. Needs Π final for every trussness ≤ k.
     fn spedge_group(
@@ -152,13 +151,13 @@ mod tests {
         trussness: &[u32],
         k: u32,
         phi_k: &[EdgeId],
-        parent: &[AtomicU32],
+        parent: &[u32],
         subsets: &mut Vec<Vec<RootPair>>,
     ) {
         let new_subsets: Vec<Vec<RootPair>> = phi_k
             .par_iter()
             .fold(Vec::new, |mut acc: Vec<RootPair>, &e| {
-                let pe = parent[e as usize].load(Ordering::Relaxed);
+                let pe = parent[e as usize];
                 for_each_triangle_of_edge(graph, e, |_, e1, e2| {
                     let (k1, k2) = (trussness[e1 as usize], trussness[e2 as usize]);
                     let lowest = k.min(k1).min(k2);
@@ -167,11 +166,11 @@ mod tests {
                     }
                     // "Create superedge downward, k > k1" (ln. 9–10).
                     if k > lowest && lowest == k1 {
-                        acc.push((parent[e1 as usize].load(Ordering::Relaxed), pe));
+                        acc.push((parent[e1 as usize], pe));
                     }
                     // "Create superedge downward, k > k2" (ln. 11–12).
                     if k > lowest && lowest == k2 {
-                        acc.push((parent[e2 as usize].load(Ordering::Relaxed), pe));
+                        acc.push((parent[e2 as usize], pe));
                     }
                 });
                 acc
@@ -184,16 +183,12 @@ mod tests {
     fn run(eg: &EdgeIndexedGraph) -> (Vec<u32>, Vec<Vec<RootPair>>) {
         let tau = decompose_serial(eg).trussness;
         let phi = PhiGroups::build(&tau);
-        let parent: Vec<AtomicU32> = (0..eg.num_edges() as u32).map(AtomicU32::new).collect();
+        let parent = run_coptimal(eg, &tau);
         let mut subsets = Vec::new();
         for (k, group) in phi.iter() {
-            spnode_group_coptimal(&RowView::of(eg), &tau, k, group, &parent);
             spedge_group(eg, &tau, k, group, &parent, &mut subsets);
         }
-        (
-            parent.into_iter().map(|a| a.into_inner()).collect(),
-            subsets,
-        )
+        (parent, subsets)
     }
 
     #[test]
@@ -252,10 +247,7 @@ mod tests {
             let eg = EdgeIndexedGraph::new(graph);
             let tau = decompose_serial(&eg).trussness;
             let phi = PhiGroups::build(&tau);
-            let parent: Vec<AtomicU32> = (0..eg.num_edges() as u32).map(AtomicU32::new).collect();
-            for (k, group) in phi.iter() {
-                spnode_group_coptimal(&RowView::of(&eg), &tau, k, group, &parent);
-            }
+            let parent = run_coptimal(&eg, &tau);
             for threads in [1usize, 4] {
                 let (algorithm_3, once) = rayon::ThreadPoolBuilder::new()
                     .num_threads(threads)

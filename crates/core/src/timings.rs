@@ -200,7 +200,17 @@ pub fn timed_phase<T>(
     name: &'static str,
     f: impl FnOnce() -> T,
 ) -> T {
-    let span = et_obs::span(name);
+    timed_span(timings, kernel, et_obs::span(name), f)
+}
+
+/// [`timed_phase`] under a span the caller has just opened, for the phase
+/// that puts an argument on it.
+pub fn timed_span<T>(
+    timings: &mut KernelTimings,
+    kernel: Kernel,
+    span: et_obs::SpanGuard,
+    f: impl FnOnce() -> T,
+) -> T {
     let start = std::time::Instant::now();
     let out = f();
     *timings.slot_mut(kernel) += start.elapsed();

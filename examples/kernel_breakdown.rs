@@ -4,11 +4,21 @@
 //! runs all three parallel designs and prints per-kernel timings side by
 //! side, so the effect of each optimization is visible.
 //!
+//! `build_index` would not show it: the parallel peel hands the default
+//! variant the supernode forest and its SpNode row reads zero. Dropping the
+//! forest (`TrussDecomposition::new`) makes every variant run the paper's
+//! SpNode from Π = identity.
+//!
 //! Run with: `cargo run --release --example kernel_breakdown`
 
-use parallel_equitruss::equitruss::{build_index, Variant};
+use parallel_equitruss::equitruss::timings::timed;
+use parallel_equitruss::equitruss::{
+    build_index_with_decomposition, KernelTimings, SupportKernel, TrussHierarchy, Variant,
+};
 use parallel_equitruss::gen::rmat::{rmat_with_cliques, RmatConfig};
 use parallel_equitruss::graph::EdgeIndexedGraph;
+use parallel_equitruss::truss::parallel::decompose_parallel_with_support;
+use parallel_equitruss::truss::TrussDecomposition;
 
 fn main() {
     let graph = EdgeIndexedGraph::new(rmat_with_cliques(
@@ -24,8 +34,15 @@ fn main() {
 
     let mut results = Vec::new();
     for variant in Variant::ALL {
-        let build = build_index(&graph, variant);
-        results.push((variant, build.timings, build.index));
+        let mut t = KernelTimings::default();
+        let support = timed(&mut t.support, || SupportKernel::default().compute(&graph));
+        let peeled = timed(&mut t.truss_decomp, || {
+            decompose_parallel_with_support(&graph, support)
+        });
+        let from_identity = TrussDecomposition::new(peeled.trussness);
+        let index = build_index_with_decomposition(&graph, &from_identity, variant, &mut t);
+        timed(&mut t.hierarchy, || TrussHierarchy::build(&index));
+        results.push((variant, t, index));
     }
 
     println!(

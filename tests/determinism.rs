@@ -7,6 +7,7 @@ use parallel_equitruss::equitruss::{
 };
 use parallel_equitruss::gen;
 use parallel_equitruss::graph::EdgeIndexedGraph;
+use parallel_equitruss::truss::TrussDecomposition;
 
 fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
     rayon::ThreadPoolBuilder::new()
@@ -59,7 +60,10 @@ fn every_variant_is_thread_invariant() {
 }
 
 /// The file is the contract: every variant at 1, 4 and 8 threads writes, byte
-/// for byte, the `.etidx` the serial Original writes.
+/// for byte, the `.etidx` the serial Original writes — whether Π starts from
+/// the peel's forest (Afforest on the peel's own decomposition) or from
+/// identity (the other variants, and every variant once the forest is
+/// dropped).
 #[test]
 fn etidx_bytes_equal_original_for_every_variant_and_thread_count() {
     // Skewed and clique-rich: dozens of superedges between many Φ_k groups.
@@ -79,16 +83,21 @@ fn etidx_bytes_equal_original_for_every_variant_and_thread_count() {
     let original = build_original(&g, &tau.trussness);
     assert!(original.num_superedges() > 0);
     let reference = etidx_bytes(&original, "original");
+    assert!(tau.forest().is_some());
+    let forestless = TrussDecomposition::new(tau.trussness.clone());
     for variant in Variant::ALL {
-        for threads in [1usize, 4, 8] {
-            let index = in_pool(threads, || {
-                build_index_with_decomposition(&g, &tau, variant, &mut KernelTimings::default())
-            });
-            let name = format!("{}-{threads}", variant.name());
-            assert!(
-                etidx_bytes(&index, &name) == reference,
-                "{name}: .etidx differs from Original's"
-            );
+        for (decomposition, pi) in [(&tau, "forest"), (&forestless, "identity")] {
+            for threads in [1usize, 4, 8] {
+                let index = in_pool(threads, || {
+                    let mut timings = KernelTimings::default();
+                    build_index_with_decomposition(&g, decomposition, variant, &mut timings)
+                });
+                let name = format!("{}-{pi}-{threads}", variant.name());
+                assert!(
+                    etidx_bytes(&index, &name) == reference,
+                    "{name}: .etidx differs from Original's"
+                );
+            }
         }
     }
 }

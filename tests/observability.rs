@@ -1,17 +1,37 @@
 //! End-to-end observability tests: tracing must not change results, and the
 //! chrome-trace export must carry one span per kernel plus the algorithm
-//! counters each variant promises.
+//! counters each variant promises — from Π = identity, and from the forest
+//! the peel hands the default build.
 
 use parallel_equitruss::equitruss::{
-    build_index, build_index_with_options, SupportKernel, Variant,
+    build_index, build_index_with_decomposition, build_index_with_options, KernelTimings,
+    PhiGroups, SupportKernel, TrussHierarchy, Variant,
 };
 use parallel_equitruss::graph::EdgeIndexedGraph;
 use parallel_equitruss::obs;
+use parallel_equitruss::truss::{decompose_parallel, TrussDecomposition};
 use rayon::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-/// Serializes tests that toggle the process-global tracing switch.
 static LOCK: Mutex<()> = Mutex::new(());
+
+/// Held by every test here: serializes the toggling of the process-global
+/// tracing switch and, on drop — normal or unwinding — switches tracing off
+/// and clears what was recorded.
+struct Serial(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+impl Drop for Serial {
+    fn drop(&mut self) {
+        obs::set_enabled(false);
+        obs::reset();
+    }
+}
+
+/// Takes the lock whether or not a holder died: one failing assertion must
+/// stay one failure, not a `PoisonError` in every test after it.
+fn lock() -> Serial {
+    Serial(LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner()))
+}
 
 fn test_graph() -> EdgeIndexedGraph {
     EdgeIndexedGraph::new(parallel_equitruss::gen::overlapping_cliques(
@@ -25,7 +45,7 @@ fn test_graph() -> EdgeIndexedGraph {
 
 #[test]
 fn tracing_does_not_change_the_index() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = lock();
     let eg = test_graph();
     for variant in Variant::ALL {
         obs::set_enabled(false);
@@ -45,21 +65,8 @@ fn tracing_does_not_change_the_index() {
     }
 }
 
-#[test]
-fn chrome_trace_has_kernel_spans_and_counters() {
-    let _guard = LOCK.lock().unwrap();
-    let eg = test_graph();
-    obs::set_enabled(true);
-    obs::reset();
-    for variant in Variant::ALL {
-        build_index(&eg, variant);
-    }
-    obs::set_enabled(false);
-    let trace = obs::capture_trace();
-    obs::reset();
-
-    let json = obs::json::parse(&trace.to_json()).expect("valid JSON");
-    let events = json["traceEvents"].as_array().expect("traceEvents array");
+/// Every event of a chrome-trace export is a well-formed complete event.
+fn assert_well_formed(events: &[obs::json::Value]) {
     assert!(!events.is_empty());
     for e in events {
         assert_eq!(e["ph"].as_str(), Some("X"));
@@ -68,39 +75,56 @@ fn chrome_trace_has_kernel_spans_and_counters() {
             assert!(e[field].as_u64().is_some(), "{field} of {e:?}");
         }
     }
-    let names: Vec<&str> = events.iter().filter_map(|e| e["name"].as_str()).collect();
-    for kernel in ["Support", "TrussDecomp", "Init", "SmGraph", "SpNodeRemap"] {
-        // One span per kernel per variant run.
-        assert_eq!(
-            names.iter().filter(|n| **n == kernel).count(),
-            Variant::ALL.len(),
-            "missing {kernel} spans in {names:?}"
-        );
-    }
-    // Each wave wraps its per-k / per-task kernels in one outer span per
-    // variant run.
-    for wave in ["SpNodeWave", "SpEdgeWave"] {
-        assert_eq!(
-            names.iter().filter(|n| **n == wave).count(),
-            Variant::ALL.len(),
-            "missing {wave} spans in {names:?}"
-        );
-    }
-    // Per-k kernels carry a k argument.
-    let spnode = events
-        .iter()
-        .find(|e| e["name"].as_str() == Some("SpNode"))
-        .expect("SpNode span");
-    assert!(spnode["args"]["k"].as_u64().unwrap() >= 3);
-    assert!(names.contains(&"SpEdge"));
-    assert!(names.iter().any(|n| n.starts_with("BuildIndex(")));
+}
 
-    // Every pipeline run ends in a hierarchy-build phase.
-    assert_eq!(
-        names.iter().filter(|n| **n == "HierarchyBuild").count(),
-        Variant::ALL.len(),
-        "missing HierarchyBuild spans in {names:?}"
-    );
+/// The events called `name`.
+fn named<'a>(events: &'a [obs::json::Value], name: &str) -> Vec<&'a obs::json::Value> {
+    events
+        .iter()
+        .filter(|e| e["name"].as_str() == Some(name))
+        .collect()
+}
+
+/// Algorithm 2 from Π = identity — what every variant runs on a
+/// decomposition without a forest: one span per kernel, one `SpNode` span per
+/// Φ_k group, and the counters of each variant's inner algorithm.
+#[test]
+fn chrome_trace_has_kernel_spans_and_counters() {
+    let _guard = lock();
+    let eg = test_graph();
+    let forestless = TrussDecomposition::new(decompose_parallel(&eg).trussness);
+    let groups = PhiGroups::build(&forestless.trussness).iter().count();
+    assert!(groups >= 2);
+    obs::set_enabled(true);
+    obs::reset();
+    for variant in Variant::ALL {
+        let mut timings = KernelTimings::default();
+        build_index_with_decomposition(&eg, &forestless, variant, &mut timings);
+    }
+    obs::set_enabled(false);
+    let trace = obs::capture_trace();
+    obs::reset();
+
+    let json = obs::json::parse(&trace.to_json()).expect("valid JSON");
+    let events = json["traceEvents"].as_array().expect("traceEvents array");
+    assert_well_formed(events);
+    // One span per kernel per variant run; each wave wraps its per-k /
+    // per-task kernels in one outer span.
+    for kernel in ["Init", "SpNodeWave", "SpEdgeWave", "SmGraph", "SpNodeRemap"] {
+        assert_eq!(
+            named(events, kernel).len(),
+            Variant::ALL.len(),
+            "{kernel} spans"
+        );
+    }
+    for wave in named(events, "SpNodeWave") {
+        assert_eq!(wave["args"]["from_peel"].as_u64(), Some(0));
+    }
+    // Per-k kernels carry a k argument: one SpNode span per Φ_k per variant.
+    let spnode = named(events, "SpNode");
+    assert_eq!(spnode.len(), groups * Variant::ALL.len());
+    assert!(spnode.iter().all(|e| e["args"]["k"].as_u64().unwrap() >= 3));
+    assert!(!named(events, "SpEdge").is_empty());
 
     // Counters from every variant's inner algorithms.
     let m = &trace.metrics;
@@ -114,8 +138,7 @@ fn chrome_trace_has_kernel_spans_and_counters() {
         "spedge.candidates",
         "smgraph.pairs_in",
         "smgraph.pairs_out",
-        "engine.wave_width",      // Φ_k groups dispatched per wave
-        "hierarchy.merge_events", // Kruskal sweep unions in HierarchyBuild
+        "engine.wave_width", // Φ_k groups dispatched per wave
     ] {
         assert!(m.counter(c) > 0, "counter {c} is zero: {:?}", m.counters);
     }
@@ -131,9 +154,83 @@ fn chrome_trace_has_kernel_spans_and_counters() {
     );
 }
 
+/// `build_index` under each variant has one span per kernel. The default
+/// build: the peel hands Π over, so the `SpNodeWave` slot closes empty and
+/// says why, no SpNode group runs and no edge-CC counter moves; the links
+/// show up in the peel's counters. Baseline and C-Optimal, through the same
+/// entry point, still run Shiloach–Vishkin.
+#[test]
+fn default_build_takes_the_forest_from_the_peel() {
+    let _guard = lock();
+    let eg = test_graph();
+    let traced_build = |variant: Variant| {
+        obs::set_enabled(true);
+        obs::reset();
+        build_index(&eg, variant);
+        obs::set_enabled(false);
+        let trace = obs::capture_trace();
+        obs::reset();
+        trace
+    };
+
+    // Whatever the variant, a full build is one span per kernel under one
+    // `BuildIndex(..)` span, and ends in a hierarchy build.
+    for variant in Variant::ALL {
+        let trace = traced_build(variant);
+        let json = obs::json::parse(&trace.to_json()).expect("valid JSON");
+        let events = json["traceEvents"].as_array().expect("traceEvents array");
+        assert_well_formed(events);
+        let build = format!("BuildIndex({})", variant.name());
+        for kernel in [
+            build.as_str(),
+            "Support",
+            "TrussDecomp",
+            "Init",
+            "SpNodeWave",
+            "SpEdgeWave",
+            "SmGraph",
+            "SpNodeRemap",
+            "HierarchyBuild",
+        ] {
+            assert_eq!(named(events, kernel).len(), 1, "{kernel} spans of {build}");
+        }
+        let m = &trace.metrics;
+        assert!(m.counter("truss.hook_links") > 0);
+        assert!(m.counter("hierarchy.merge_events") > 0);
+        assert!(m.counter("spedge.candidates") > 0);
+
+        let wave = named(events, "SpNodeWave")[0];
+        if variant != Variant::Afforest {
+            // Π from identity: Algorithm 2 ran.
+            assert_eq!(wave["args"]["from_peel"].as_u64(), Some(0));
+            assert!(!named(events, "SpNode").is_empty());
+            assert!(m.counter("sv.hook_iterations") > 0);
+            continue;
+        }
+        assert_eq!(wave["args"]["from_peel"].as_u64(), Some(1));
+        assert!(named(events, "SpNode").is_empty() && named(events, "SpNodeViews").is_empty());
+        for idle in [
+            "afforest.sample_size",
+            "afforest.finish_edges",
+            "sv.hook_iterations",
+            "dsu.compress_calls",
+            "spnode.views",
+            "par.tasks.SpNodeWave",
+        ] {
+            assert_eq!(m.counter(idle), 0, "{idle}");
+        }
+        assert!(
+            json["metrics"]["counters"]["truss.hook_links"]
+                .as_u64()
+                .unwrap()
+                > 0
+        );
+    }
+}
+
 #[test]
 fn oriented_support_counters_match_triangle_count() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = lock();
     let eg = test_graph();
     obs::set_enabled(true);
     obs::reset();
@@ -150,7 +247,7 @@ fn oriented_support_counters_match_triangle_count() {
 
 #[test]
 fn bucketed_peeling_emits_counters() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = lock();
     let eg = test_graph();
     obs::set_enabled(true);
     obs::reset();
@@ -163,49 +260,88 @@ fn bucketed_peeling_emits_counters() {
     // The clique generator guarantees cascading decrements, so lazy bucket
     // repair must have fired at least once.
     assert!(snap.counter("truss.bucket_repairs") > 0);
-    assert!(snap.distribution("truss.frontier_len").is_some());
+    assert!(snap.counter("truss.hook_links") > 0);
+    assert_eq!(
+        snap.counter("truss.pool_rounds") + snap.counter("truss.serial_rounds"),
+        snap.counter("truss.peel_rounds")
+    );
+    // One aggregate per level with work, not one record per round.
+    let rounds = snap.distribution("truss.level_rounds").expect("rounds");
+    assert_eq!(rounds.count, snap.counter("truss.levels"));
+    assert_eq!(rounds.sum, snap.counter("truss.peel_rounds"));
+    let edges = snap.distribution("truss.level_edges").expect("edges");
+    assert_eq!(
+        (edges.count, edges.sum),
+        (rounds.count, eg.num_edges() as u64)
+    );
+    let widest = snap
+        .distribution("truss.level_widest_round")
+        .expect("widest");
+    assert!(widest.count == rounds.count && widest.max <= edges.max);
+    assert!(snap.distribution("truss.frontier_len").is_none());
 }
 
-/// On a skewed graph the peel and SpNode re-filter their rows: the counters,
-/// the arcs-kept distributions and the nested spans say so, and the index is
-/// the one an untraced build makes. A mesh (one level, one Φ_k group) builds
-/// no view at all.
+/// On a skewed graph the peel re-filters its rows, and so does SpNode when
+/// it runs — C-Optimal, or Afforest on a decomposition stripped of the peel's
+/// forest: the counters, the arcs-kept distributions and the nested spans say
+/// so, and the index is the one an untraced build makes. A mesh (one level,
+/// one Φ_k group) builds no view at all.
 #[test]
 fn live_row_views_are_counted_and_change_nothing() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = lock();
     let skewed = EdgeIndexedGraph::new(parallel_equitruss::gen::rmat_with_cliques(
         parallel_equitruss::gen::RmatConfig::graph500(11, 8, 3),
         16,
         (4, 9),
     ));
-    for variant in [Variant::COptimal, Variant::Afforest] {
+    let build = |variant: Variant, keep_forest: bool| {
+        let mut decomposition = decompose_parallel(&skewed);
+        if !keep_forest {
+            decomposition = TrussDecomposition::new(decomposition.trussness);
+        }
+        let mut timings = KernelTimings::default();
+        let index = build_index_with_decomposition(&skewed, &decomposition, variant, &mut timings);
+        let hierarchy = TrussHierarchy::build(&index);
+        (index, hierarchy)
+    };
+    for (variant, keep_forest) in [
+        (Variant::COptimal, true),
+        (Variant::Afforest, false),
+        (Variant::Afforest, true),
+    ] {
         obs::set_enabled(false);
         obs::reset();
-        let plain = build_index(&skewed, variant);
+        let plain = build(variant, keep_forest);
         obs::set_enabled(true);
         obs::reset();
-        let traced = build_index(&skewed, variant);
+        let traced = build(variant, keep_forest);
         obs::set_enabled(false);
         let snap = obs::snapshot();
         let events = obs::take_events();
         obs::reset();
-        assert_eq!(plain.index.canonical(), traced.index.canonical());
-        assert_eq!(plain.hierarchy, traced.hierarchy);
+        assert_eq!(plain.0.canonical(), traced.0.canonical());
+        assert_eq!(plain.1, traced.1);
 
-        for (counter, dist, inner, outer) in [
-            (
-                "truss.compactions",
-                "truss.live_arcs",
-                "PeelCompact",
-                "TrussDecomp",
-            ),
-            (
+        let spnode_ran = variant != Variant::Afforest || !keep_forest;
+        if !spnode_ran {
+            assert_eq!(snap.counter("spnode.views"), 0);
+            assert!(!events.iter().any(|e| e.name == "SpNodeViews"));
+        }
+        let mut views = vec![(
+            "truss.compactions",
+            "truss.live_arcs",
+            "PeelCompact",
+            "TrussDecomp",
+        )];
+        if spnode_ran {
+            views.push((
                 "spnode.views",
                 "spnode.view_arcs",
                 "SpNodeViews",
                 "SpNodeWave",
-            ),
-        ] {
+            ));
+        }
+        for (counter, dist, inner, outer) in views {
             let built = snap.counter(counter);
             assert!(built >= 1, "{}: {counter} = {built}", variant.name());
             let arcs = snap.distribution(dist).expect(dist);
@@ -229,7 +365,7 @@ fn live_row_views_are_counted_and_change_nothing() {
     let mesh = EdgeIndexedGraph::new(parallel_equitruss::gen::triangulated_grid(40));
     obs::set_enabled(true);
     obs::reset();
-    build_index(&mesh, Variant::Afforest);
+    build_index(&mesh, Variant::COptimal);
     obs::set_enabled(false);
     let snap = obs::snapshot();
     let events = obs::take_events();
@@ -246,7 +382,7 @@ fn live_row_views_are_counted_and_change_nothing() {
 
 #[test]
 fn query_engines_emit_counters_and_spans() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = lock();
     use parallel_equitruss::community::{query_communities, query_communities_bfs};
     let eg = EdgeIndexedGraph::new(
         parallel_equitruss::gen::fixtures::paper_example()
@@ -277,7 +413,7 @@ fn query_engines_emit_counters_and_spans() {
 
 #[test]
 fn counters_aggregate_under_rayon() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = lock();
     obs::set_enabled(true);
     obs::reset();
     (0..1000u32).into_par_iter().for_each(|i| {
@@ -295,7 +431,7 @@ fn counters_aggregate_under_rayon() {
 
 #[test]
 fn disabled_tracing_records_nothing_end_to_end() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = lock();
     obs::set_enabled(false);
     obs::reset();
     let eg = test_graph();
@@ -306,13 +442,15 @@ fn disabled_tracing_records_nothing_end_to_end() {
 
 #[test]
 fn wave_occupancy_metrics_cover_the_pipeline() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = lock();
     let eg = test_graph();
     obs::set_enabled(true);
     obs::reset();
     // The oriented arm is pinned: it is the Support kernel that runs as a
-    // wave (the default pick on this balanced graph is the flat merge).
-    build_index_with_options(&eg, Variant::Afforest, SupportKernel::Oriented);
+    // wave (the default pick on this balanced graph is the flat merge). So
+    // is C-Optimal: the default variant takes Π from the peel and has no
+    // SpNode wave.
+    build_index_with_options(&eg, Variant::COptimal, SupportKernel::Oriented);
     obs::set_enabled(false);
     let snap = obs::snapshot();
     obs::reset();
@@ -345,7 +483,7 @@ fn wave_occupancy_metrics_cover_the_pipeline() {
 
 #[test]
 fn memory_columns_stay_zero_without_et_mem() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = lock();
     obs::set_enabled(false);
     obs::reset();
     // ET_MEM is not set in the test environment and init_mem_from_env was
@@ -362,7 +500,7 @@ fn memory_columns_stay_zero_without_et_mem() {
 
 #[test]
 fn reset_clears_distribution_state_between_runs() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = lock();
     obs::set_enabled(true);
     obs::reset();
     obs::record_value("test.reset_dist", 42);

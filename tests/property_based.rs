@@ -16,7 +16,9 @@ use parallel_equitruss::triangle::{
     compute_support, compute_support_oriented, compute_support_serial,
 };
 use parallel_equitruss::truss::parallel::decompose_parallel_with_support;
-use parallel_equitruss::truss::{brute_force_trussness, decompose_parallel, decompose_serial};
+use parallel_equitruss::truss::{
+    brute_force_trussness, decompose_parallel, decompose_serial, TrussDecomposition,
+};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -83,10 +85,15 @@ fn all_index_constructions_are_identical() {
         let d = decompose_parallel(&graph);
         let reference = build_original(&graph, &d.trussness);
         let canon = reference.canonical();
+        // Π from the peel's forest where the variant takes it, and from
+        // identity for every variant.
+        let forestless = TrussDecomposition::new(d.trussness.clone());
         for variant in Variant::ALL {
-            let mut t = KernelTimings::default();
-            let idx = build_index_with_decomposition(&graph, &d, variant, &mut t);
-            assert_eq!(idx.canonical(), canon.clone(), "variant {}", variant.name());
+            for decomposition in [&d, &forestless] {
+                let mut t = KernelTimings::default();
+                let idx = build_index_with_decomposition(&graph, decomposition, variant, &mut t);
+                assert_eq!(idx.canonical(), canon.clone(), "variant {}", variant.name());
+            }
         }
         // And the reference satisfies every definitional invariant.
         assert!(validate_index(&graph, &d.trussness, &reference).is_ok());
